@@ -22,12 +22,7 @@ from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
 from .channel import SceneGeometry, dbm_to_watts
 from .crb import fim_stage1, fim_stage2_case1, fim_stage2_case2
 from .errors import InvalidArgumentError, IrslocError
-from .localization import (
-    DoAPairObservation,
-    build_schedule,
-    construct_location,
-    match_and_localize,
-)
+from .localization import DoAPairObservation, construct_location, match_and_localize
 from .stage1 import music_estimate, sample_covariance, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
@@ -64,6 +59,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("need at least one trial")
         if not self.p_bs_dbm_sweep:
             raise InvalidArgumentError("power sweep must be non-empty")
+        if self.t1 < 1 or self.t2_y < 1 or self.t2_z < 1:
+            raise InvalidArgumentError("every stage needs at least one sample")
+        if not self.scene.irs:
+            raise InvalidArgumentError("need at least one reflecting surface")
         if isinstance(self.stage2_mode, str):
             self.stage2_mode = Stage2Mode(self.stage2_mode)
 
@@ -183,8 +182,6 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         true_positions=true_pos, est_positions=None,
         regime=regime, wall_time_s=0.0,
     )
-    t2_samples = config.t2_y * config.t2_z if config.joint_scan else config.t2_y + config.t2_z
-    build_schedule(m, config.t1, t2_samples)  # protocol sanity: exclusive stages, valid counts
     try:
         probing = dft_codebook(scene.n_bs, config.t1, p_watts)
         block = synthesize_stage1(scene, probing, noise_var, stage_seeds[0])
@@ -199,7 +196,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
             plan = build_scan_plan(scene.irs_upa[i], config.t2_y, config.t2_z)
             obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
                                     mode=config.stage2_mode, p_bs_watts=p_watts,
-                                    joint=config.joint_scan, hold_best_y=(k == 1))
+                                    joint=config.joint_scan)
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
@@ -332,14 +329,16 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
         for y in y_values:
             scene = replace(config.scene, targets=[Position3(float(x), float(y), target_z)])
             cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
-            records = []
+            records, degenerate = [], 0
             for t in range(config.trials):
                 try:
                     records.append(run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t))
-                except IrslocError:
-                    continue
+                except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
+                    degenerate += 1
             row = {"x": float(x), "y": float(y)}
             row.update(aggregate_trials(records))
+            row["trials"] += degenerate
+            row["trials_failed"] += degenerate
             rows.append(row)
             cell += 1
     return rows

@@ -11,7 +11,6 @@ surface-to-target DoA.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from ._gridpeaks import top_peaks_1d, top_peaks_2d
 from .arrays import SpatialAnglePair, UpaConfig, steering_vector, upa_response
-from .channel import (
+from .channel import (  # channel_b2i/bti/iti: unused, but perfbench traces them by name here
     PathKind,
     SceneGeometry,
     cascade_power_closed_form,
@@ -166,77 +165,56 @@ def _beam_gains(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan):
 
 
 def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
-    """Noiseless matched-filter samples at beam index pairs (y_idx[i], z_idx[i])."""
+    """Noiseless matched-filter samples at beam index pairs (y_idx[i], z_idx[i]).
+
+    Every route is rank 1 and every codeword a Kronecker product, so the
+    filtered echo of target k is alpha q^2 (double bounce, case 1) plus
+    alpha_tilde b q (the two single bounces, case 2), with q = g_y g_z the
+    separable cascade scalar.  The full echo is exactly the sum of both terms;
+    each approximation keeps one.
+    """
     gains = _beam_gains(geometry, irs_index, plan)
     out = np.zeros(len(y_idx), dtype=complex)
     for k in range(len(geometry.targets)):
         gy, gz = gains[k]
-        if mode is Stage2Mode.CASE2_APPROX:
-            alpha_t, b = case2_amplitude(geometry, irs_index, k, p_bs_watts)
-            out += alpha_t * b * gy[y_idx] * gz[z_idx]
-        else:
+        if mode is not Stage2Mode.CASE2_APPROX:
             alpha = case1_amplitude(geometry, irs_index, k, p_bs_watts)
             out += alpha * gy[y_idx] ** 2 * gz[z_idx] ** 2
-    return out
-
-
-def _full_echo_values(geometry, irs_index, plan, p_bs_watts, y_idx, z_idx, noise_var, rng):
-    """Dense-channel synthesis of the three reflected terms plus filtered noise."""
-    n_bs = geometry.n_bs
-    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-    w_bs = np.sqrt(p_bs_watts / n_bs) * np.conj(a_irs)
-    fa = np.conj(a_irs)  # matched filter row a^H
-    h_b2i = channel_b2i(geometry, irs_index)
-    h_itis = [channel_iti(geometry, irs_index, k) for k in range(len(geometry.targets))]
-    h_btis = [channel_bti(geometry, irs_index, k) for k in range(len(geometry.targets))]
-    v0 = h_b2i @ w_bs
-    g1 = fa @ h_b2i.T
-    u2s = [h @ w_bs for h in h_btis]
-    g3s = [fa @ h.T for h in h_btis]
-    out = np.zeros(len(y_idx), dtype=complex)
-    for s, (i, j) in enumerate(zip(y_idx, z_idx)):
-        theta = np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
-        tv0 = theta * v0
-        val = 0.0 + 0.0j
-        for h_iti, u2, g3 in zip(h_itis, u2s, g3s):
-            val += g1 @ (theta * (h_iti @ tv0))
-            val += g1 @ (theta * u2)
-            val += g3 @ tv0
-        if noise_var > 0:
-            noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(n_bs) + 1j * rng.standard_normal(n_bs))
-            val += fa @ noise
-        out[s] = val
+        if mode is not Stage2Mode.CASE1_APPROX:
+            alpha_t, b = case2_amplitude(geometry, irs_index, k, p_bs_watts)
+            out += alpha_t * b * gy[y_idx] * gz[z_idx]
     return out
 
 
 def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
                       noise_var: float, seed: int,
                       mode: Stage2Mode = Stage2Mode.CASE1_APPROX,
-                      p_bs_watts: float = 1.0, joint: bool = False,
-                      hold_best_y: bool = True) -> ScanObservation:
+                      p_bs_watts: float = 1.0, joint: bool = False) -> ScanObservation:
     """Matched-filter samples for a scan, sequential (t2_y + t2_z) or joint (t2_y * t2_z).
 
     The BS beam is sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
     Sequential sweeps hold the companion axis at the center codeword for the
-    y sweep, then hold the noisy-best y beam for the z sweep; with several
-    targets pass hold_best_y=False to keep the center hold, otherwise the
-    strongest target's beam suppresses everyone else's elevation peak.
-    Approximate modes draw the filtered noise directly at variance
-    N_BS * sigma^2.
+    y sweep.  The z sweep then holds the noisy-best y beam when the scene has
+    one target, and the center codeword otherwise, since with several targets
+    the strongest target's beam would suppress everyone else's elevation peak.
+    The full echo filters per-antenna noise with a^H (N_BS real, then N_BS
+    imaginary draws per sample); the approximations draw the filtered noise
+    directly.  Both have variance N_BS * sigma^2.
     """
     rng = np.random.default_rng(seed)
     n_bs = geometry.n_bs
     eff_var = n_bs * noise_var
 
     def noisy(y_idx, z_idx):
-        if mode is Stage2Mode.FULL_ECHO:
-            return _full_echo_values(geometry, irs_index, plan, p_bs_watts,
-                                     y_idx, z_idx, noise_var, rng)
         vals = _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx)
-        if noise_var > 0:
-            vals = vals + np.sqrt(eff_var / 2.0) * (
-                rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
-        return vals
+        if noise_var <= 0:
+            return vals
+        if mode is Stage2Mode.FULL_ECHO:
+            a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
+            draws = rng.standard_normal((len(vals), 2, n_bs))
+            return vals + np.sqrt(noise_var / 2.0) * (draws[:, 0] + 1j * draws[:, 1]) @ np.conj(a_irs)
+        return vals + np.sqrt(eff_var / 2.0) * (
+            rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
 
     if joint:
         ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
@@ -245,8 +223,10 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
 
     y_idx = np.arange(plan.t2_y)
     y_vals = noisy(y_idx, np.full(plan.t2_y, plan.hold_z_index))
-    best_y = int(np.argmax(np.abs(y_vals) ** 2))
-    hold_y = best_y if hold_best_y else plan.hold_y_index
+    if len(geometry.targets) == 1:
+        hold_y = int(np.argmax(np.abs(y_vals) ** 2))
+    else:
+        hold_y = plan.hold_y_index
     z_idx = np.arange(plan.t2_z)
     z_vals = noisy(np.full(plan.t2_z, hold_y), z_idx)
     return ScanObservation(mode="sequential", noise_var_effective=eff_var,
@@ -278,34 +258,20 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                   k: int = 1) -> list[SpatialAnglePair]:
     """Map the strongest beams back to surface-to-target DoAs.
 
-    Sequential mode argmaxes each sweep independently; for k > 1 the k!
-    pairings of y-peaks with z-peaks are scored by the summed power product
-    and the best kept.  Joint mode takes the top-k 2D peaks.  The known
-    arrival angles are subtracted from the composite grid values.
+    Sequential mode takes the top-k peaks of each sweep and pairs them by
+    rank, strongest y with strongest z and so on down.  By the rearrangement
+    inequality this maximizes the summed power product over all k! pairings;
+    rank order is also the tie rule.  Joint mode takes the top-k 2D peaks.
+    The known arrival angles are subtracted from the composite grid values.
     """
-    pairs: list[tuple[int, int]]
     if obs.mode == "joint":
-        power = np.abs(obs.grid_values) ** 2
-        pairs = top_peaks_2d(power, k, SCAN_SUPPRESSION_RADIUS)
-        if len(pairs) < k:
-            raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
+        pairs = top_peaks_2d(np.abs(obs.grid_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
     else:
-        py = np.abs(obs.y_values) ** 2
-        pz = np.abs(obs.z_values) ** 2
-        if k == 1:
-            pairs = [(int(np.argmax(py)), int(np.argmax(pz)))]
-        else:
-            y_peaks = top_peaks_1d(py, k, SCAN_SUPPRESSION_RADIUS)
-            z_peaks = top_peaks_1d(pz, k, SCAN_SUPPRESSION_RADIUS)
-            found = min(len(y_peaks), len(z_peaks))
-            if found < k:
-                raise UnderResolvedError(f"found {found} scan peaks, need {k}", found=found)
-            best_score, best_perm = -np.inf, None
-            for perm in itertools.permutations(range(k)):
-                score = sum(py[y_peaks[m]] * pz[z_peaks[perm[m]]] for m in range(k))
-                if score > best_score:
-                    best_score, best_perm = score, perm
-            pairs = [(y_peaks[m], z_peaks[best_perm[m]]) for m in range(k)]
+        y_peaks = top_peaks_1d(np.abs(obs.y_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+        z_peaks = top_peaks_1d(np.abs(obs.z_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+        pairs = list(zip(y_peaks, z_peaks))
+    if len(pairs) < k:
+        raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
     return [SpatialAnglePair(float(plan.mu_grid[i]) - bs_irs_doa.mu,
                              float(plan.nu_grid[j]) - bs_irs_doa.nu) for i, j in pairs]
 

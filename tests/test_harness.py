@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,12 @@ def test_area_sweep_grid_rows():
     rows = run_area_sweep(cfg, x_values=[-15.0, -10.0], y_values=[4.0, 8.0], p_bs_dbm=30.0)
     assert len(rows) == 4
     assert {"x", "y", "rmse_q", "trials_failed"} <= set(rows[0])
+    # a target on the surface itself fails every trial; none may vanish from the count
+    on_surface = run_area_sweep(tiny_config(), x_values=[-20.0, -10.0], y_values=[0.0],
+                                p_bs_dbm=30.0, target_z=3.0)
+    assert (on_surface[0]["trials"], on_surface[0]["trials_failed"]) == (2, 2)
+    assert np.isnan(on_surface[0]["rmse_q"])
+    assert on_surface[1]["trials"] == 2
 
 
 def test_doa_snapshot_rows():
@@ -211,3 +219,9 @@ def test_config_validation():
         tiny_config(trials=0)
     with pytest.raises(InvalidArgumentError):
         tiny_config(p_bs_dbm_sweep=[])
+    for counts in ({"t1": 0}, {"t2_y": 0}, {"t2_z": 0}):
+        with pytest.raises(InvalidArgumentError):
+            tiny_config(**counts)
+    no_surface = replace(tiny_config().scene, irs=[], irs_upa=[])
+    with pytest.raises(InvalidArgumentError):
+        tiny_config(scene=no_surface)

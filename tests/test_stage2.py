@@ -18,7 +18,7 @@ from irsloc import (
     synthesize_stage2,
     upa_response,
 )
-from irsloc.channel import PathKind, path_gain
+from irsloc.channel import PathKind, path_gain, stage2_effective_channel
 from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
 
 from conftest import random_desk_scene
@@ -117,6 +117,44 @@ def test_full_echo_equals_scalar_model_identity():
             expected = alpha * q**2 + alpha_t * b * q
             got = full.grid_values[i, j]
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-18)
+
+
+def _dense_full_echo(g, plan, p, y_idx, z_idx, noise_var, seed):
+    """Oracle: a^H sum_k H_eff,k(theta) w_BS per codeword, with per-antenna noise
+    drawn sample by sample (N_BS real, then N_BS imaginary draws)."""
+    rng = np.random.default_rng(seed)
+    a_irs = upa_response(g.bs_irs_aod(0), g.bs_upa)
+    w_bs = np.sqrt(p / g.n_bs) * np.conj(a_irs)
+    out = []
+    for i, j in zip(y_idx, z_idx):
+        theta = np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
+        h = sum(stage2_effective_channel(g, 0, k, theta) for k in range(len(g.targets)))
+        val = np.conj(a_irs) @ h @ w_bs
+        if noise_var > 0:
+            val += np.conj(a_irs) @ (np.sqrt(noise_var / 2.0) * (
+                rng.standard_normal(g.n_bs) + 1j * rng.standard_normal(g.n_bs)))
+        out.append(val)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-12])
+def test_full_echo_matches_dense_oracle(noise_var):
+    base = random_desk_scene(23, max_side=5)
+    g = SceneGeometry(bs=base.bs, irs=base.irs, bs_upa=base.bs_upa, irs_upa=base.irs_upa,
+                      targets=[base.targets[0], Position3(-9.0, -4.0, 1.5)])
+    plan = build_scan_plan(g.irs_upa[0], 5, 4)
+    p, seed = 2.0, 31
+    joint = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
+    expected = _dense_full_echo(g, plan, p, ii.ravel(), jj.ravel(), noise_var, seed)
+    np.testing.assert_allclose(joint.grid_values.ravel(), expected, rtol=1e-10, atol=0)
+
+    seq = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
+    y_idx = list(range(plan.t2_y)) + [plan.hold_y_index] * plan.t2_z
+    z_idx = [plan.hold_z_index] * plan.t2_y + list(range(plan.t2_z))
+    expected = _dense_full_echo(g, plan, p, y_idx, z_idx, noise_var, seed)
+    np.testing.assert_allclose(np.concatenate([seq.y_values, seq.z_values]), expected,
+                               rtol=1e-10, atol=0)
 
 
 def test_case1_approximation_error_small_for_large_arrays(single_scene):
@@ -265,8 +303,8 @@ def test_sequential_multi_target_pairing():
         bs_upa=UpaConfig(8, 8), irs_upa=[UpaConfig(16, 16)],
     )
     plan = build_scan_plan(g.irs_upa[0], 41, 41)
-    obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0,
-                            hold_best_y=False)
+    obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0)
+    assert obs.best_y_index == plan.hold_y_index
     est = scan_estimate(obs, plan, g.bs_irs_aoa(0), 2)
     step = plan.mu_grid[1] - plan.mu_grid[0]
     for k in range(2):
