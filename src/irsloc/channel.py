@@ -2,11 +2,10 @@
 
 All four channels are rank-1 outer products of planar-array responses.  The
 routes are named by their hops: BTB (BS-target-BS), B2I (BS-IRS), ITI
-(IRS-target-IRS), and BTI (BS-target-IRS).  Stage 1 sums the dense BTB
-matrices.  Stage 2 runs on closed forms, so the other dense builders and
-stage2_effective_channel serve as the test oracle for its samples and for the
-power identities (honest Frobenius norms), and `irsloc validate` checks the
-effective channel.
+(IRS-target-IRS), and BTI (BS-target-IRS).  Both stages synthesize from the
+rank-1 factors, so the dense builders and stage2_effective_channel serve as
+the test oracle for the samples and for the power identities (honest
+Frobenius norms), and `irsloc validate` checks the effective channel.
 """
 
 from __future__ import annotations

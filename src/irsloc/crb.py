@@ -80,10 +80,13 @@ def _centered_square_sum(n: int) -> float:
 
 def fim_stage1(geometry: SceneGeometry, probing_covariance: np.ndarray, t1: int,
                noise_var: float, target_index: int = 0) -> FimResult:
-    """4x4 FIM over [mu_b2t, nu_b2t, Re beta, Im beta] via dense trace forms.
+    """4x4 FIM over [mu_b2t, nu_b2t, Re beta, Im beta] via quadratic forms in a, adot and R.
 
     f_mu_mu = (2|beta|^2 T1 / sigma^2) tr(Adot_mu R Adot_mu^H) and friends; the
-    coefficient-block rows carry Re{beta* [1 j] tr(A R Adot^H)}.
+    coefficient-block rows carry Re{beta* [1 j] tr(A R Adot^H)}.  A = a a^T and
+    Adot = adot a^T + a adot^T are sums of outer products u v^T, so each trace
+    tr(X R Y^H) is the sum of (u_Y^H u_X)(v_X^T R conj(v_Y)) over their terms:
+    Gram entries and quadratic forms of the three vectors a, adot_mu, adot_nu.
     """
     r = np.asarray(probing_covariance)
     n_bs = geometry.n_bs
@@ -93,17 +96,20 @@ def fim_stage1(geometry: SceneGeometry, probing_covariance: np.ndarray, t1: int,
         raise InvalidArgumentError("noise variance must be positive")
     beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
     doa = geometry.bs_target_doa(target_index)
-    a = upa_response(doa, geometry.bs_upa)
-    da_mu, da_nu = upa_response_derivatives(doa, geometry.bs_upa)
-    a_mat = np.outer(a, a)
-    ad_mu = np.outer(da_mu, a) + np.outer(a, da_mu)
-    ad_nu = np.outer(da_nu, a) + np.outer(a, da_nu)
+    vecs = np.stack([upa_response(doa, geometry.bs_upa),
+                     *upa_response_derivatives(doa, geometry.bs_upa)], axis=1)
+    gram = vecs.conj().T @ vecs  # gram[i, j] = u_i^H u_j
+    quad = vecs.T @ r @ vecs.conj()  # quad[i, j] = v_i^T R conj(v_j)
+    a, d_mu, d_nu = 0, 1, 2  # columns of vecs
+    a_mat = [(a, a)]
+    ad_mu = [(d_mu, a), (a, d_mu)]
+    ad_nu = [(d_nu, a), (a, d_nu)]
 
     c = 2.0 * t1 / noise_var
     ab2 = abs(beta) ** 2
 
     def tr(x, y):
-        return complex(np.trace(x @ r @ y.conj().T))
+        return complex(sum(gram[u2, u1] * quad[v1, v2] for u1, v1 in x for u2, v2 in y))
 
     f = np.zeros((4, 4))
     f[0, 0] = c * ab2 * tr(ad_mu, ad_mu).real

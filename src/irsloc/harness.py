@@ -22,7 +22,8 @@ from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
 from .channel import SceneGeometry, dbm_to_watts
 from .crb import fim_stage1, fim_stage2_case1, fim_stage2_case2
 from .errors import InvalidArgumentError, IrslocError
-from .localization import DoAPairObservation, construct_location, match_and_localize
+# construct_location, sample_covariance: unused, but perfbench traces them by name here
+from .localization import construct_location, match_and_localize
 from .stage1 import music_estimate, sample_covariance, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
@@ -185,8 +186,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     try:
         probing = dft_codebook(scene.n_bs, config.t1, p_watts)
         block = synthesize_stage1(scene, probing, noise_var, stage_seeds[0])
-        cov = sample_covariance(block)
-        music = music_estimate(cov, scene.bs_upa, k, config.music_grid,
+        music = music_estimate(block.samples, scene.bs_upa, k, config.music_grid,
                                config.music_refine_levels)
         est_bs = music.angles
         record.est_bs_doas = _align(true_bs, _angles_to_array(est_bs))
@@ -201,10 +201,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
 
-        if k == 1 and m == 1:
-            loc = [construct_location(DoAPairObservation(est_bs[0], est_irs[0][0], 0), scene)]
-        else:
-            loc = match_and_localize(est_bs, {i: est_irs[i] for i in range(m)}, scene)
+        loc = match_and_localize(est_bs, {i: est_irs[i] for i in range(m)}, scene)
         record.est_positions = _align(true_pos, np.array([e.position.as_array() for e in loc]))
     except IrslocError as exc:
         record.failed = True

@@ -70,6 +70,8 @@ class ProtocolSchedule:
 def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> LocationEstimate:
     """Invert the direction-cosine equations to a 3D point.
 
+    Each spatial angle is first divided by its array's 2d/lambda factor
+    (1 at half-wavelength spacing) to give a direction cosine.  With those,
     d_b2t = (nu_i (y_bs - y_irs) - mu_i (z_bs - z_irs)) / (mu_i nu_b - mu_b nu_i),
     then y, z follow from the BS ray and x from the BS sphere.  Of the two x
     roots, the one whose unsigned distance to the surface plane best matches
@@ -78,8 +80,10 @@ def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> Loca
     pushes it negative: it only steers the branch choice, and targets near
     the surface plane sit exactly on that boundary.
     """
-    mu_b, nu_b = obs.bs_doa.mu, obs.bs_doa.nu
-    mu_i, nu_i = obs.irs_doa.mu, obs.irs_doa.nu
+    bs_scale = 2.0 * geometry.bs_upa.spacing_over_lambda
+    irs_scale = 2.0 * geometry.irs_upa[obs.irs_index].spacing_over_lambda
+    mu_b, nu_b = obs.bs_doa.mu / bs_scale, obs.bs_doa.nu / bs_scale
+    mu_i, nu_i = obs.irs_doa.mu / irs_scale, obs.irs_doa.nu / irs_scale
     bs = geometry.bs
     irs = geometry.irs[obs.irs_index]
 

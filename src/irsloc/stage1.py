@@ -2,9 +2,15 @@
 
 The BS probes with T1 waveform columns, collects the direct target echoes,
 and locates spectrum peaks of 1 / (a^H U_n U_n^H a) over the spatial-angle
-square [-1, 1]^2.  The denominator is evaluated through the orthogonal
-complement ||a||^2 - ||U_s^H a||^2, which is algebraically identical and lets
-the Kronecker structure of the UPA response carry the grid search.
+square [-1, 1]^2.  The signal subspace U_s is the top-k left singular vectors
+of the snapshots Y (N_BS x T1), which are also those of (1/T1) Y Y^H, so a
+Hermitian PSD covariance works as input too.  The denominator is evaluated
+through the orthogonal complement ||a||^2 - ||U_s^H a||^2, which is
+algebraically identical and lets the Kronecker structure of the UPA response
+carry the grid search.  The search samples the grid at quarter-beamwidth
+strides and evaluates the full resolution only where a peak can be: around
+the strongest coarse maxima and the coarse nodes nearly as strong as the
+weakest pick.
 """
 
 from __future__ import annotations
@@ -13,13 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gridpeaks import top_peaks_2d
-from .arrays import SpatialAnglePair, UpaConfig, steering_matrix
-from .channel import SceneGeometry, channel_btb
+from ._gridpeaks import local_maxima_2d, strongest_separated, top_peaks_2d
+from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, upa_response
+from .channel import (  # channel_btb: unused, but perfbench traces it by name here
+    PathKind,
+    SceneGeometry,
+    channel_btb,
+    path_gain,
+)
 from .errors import InvalidArgumentError, UnderResolvedError
 
 DEFAULT_GRID_RESOLUTION = 2e-3
 PEAK_SUPPRESSION_RADIUS = 3  # grid steps
+MIN_COARSE_STRIDE = 3  # grid steps; finer strides search the dense grid
+EXTRA_COARSE_CANDIDATES = 8  # coarse maxima zoomed beyond the k requested peaks
+ZOOM_MARGIN = 5e-3  # relative; coarse nodes this close to the weakest pick are zoomed too
 
 
 @dataclass
@@ -42,17 +56,20 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
                       noise_var: float, seed: int) -> SnapshotBlock:
     """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
 
-    Per-entry noise variance is noise_var (real/imag each noise_var/2);
-    deterministic under the seed.
+    Each H_BTB,k = beta_k a_k a_k^T is rank 1, so its term is built as
+    beta_k a_k (a_k^T W) without the N_BS x N_BS matrix.  Per-entry noise
+    variance is noise_var (real/imag each noise_var/2); deterministic under
+    the seed.
     """
     probing = np.asarray(probing)
     n_bs = geometry.n_bs
     if probing.ndim != 2 or probing.shape[0] != n_bs or probing.shape[1] < 1:
         raise InvalidArgumentError(f"probing must be ({n_bs}, T1>=1), got {probing.shape}")
-    h = np.zeros((n_bs, n_bs), dtype=complex)
+    y = np.zeros(probing.shape, dtype=complex)
     for k in range(len(geometry.targets)):
-        h += channel_btb(geometry, k)
-    y = h @ probing
+        beta = path_gain(PathKind.BTB, geometry, target_index=k).value
+        a = upa_response(geometry.bs_target_doa(k), geometry.bs_upa)
+        y += np.outer(beta * a, a @ probing)
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(noise_var / 2.0)
@@ -81,19 +98,48 @@ def signal_noise_subspaces(cov: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return eigvals, eigvecs[:, :k], eigvecs[:, k:]
 
 
+def _signal_subspace(x: np.ndarray, k: int) -> np.ndarray:
+    """Top-k left singular vectors of the snapshots Y or of a Hermitian PSD covariance.
+
+    (1/T1) Y Y^H has exactly the left singular vectors of Y, and a Hermitian
+    PSD matrix has its eigenvectors as left singular vectors, so both inputs
+    give the same signal subspace; the thin SVD of Y skips forming the
+    N_BS x N_BS covariance.
+    """
+    n = x.shape[0]
+    if not (0 < k < n):
+        raise InvalidArgumentError(f"need 0 < k < {n}, got k={k}")
+    if x.shape[1] < k:
+        raise InvalidArgumentError(f"{x.shape[1]} columns cannot span {k} signal directions")
+    return np.linalg.svd(x, full_matrices=False)[0][:, :k]
+
+
+def _deficit(u_s: np.ndarray, cfg: UpaConfig, a_mu: np.ndarray, a_nu: np.ndarray) -> np.ndarray:
+    """||a||^2 - ||U_s^H a||^2 for every row of a_mu against every row of a_nu.
+
+    a_mu (..., I, n_y) and a_nu (..., J, n_z) hold steering rows; leading
+    axes batch independent grids.  Equals a^H U_n U_n^H a.
+    """
+    n = cfg.n
+    a_nu_t = np.swapaxes(a_nu, -1, -2)
+    power = 0.0
+    for col in range(u_s.shape[1]):
+        s = u_s[:, col].reshape(cfg.n_y, cfg.n_z)
+        c = a_mu @ s.conj() @ a_nu_t
+        power = power + np.abs(c) ** 2
+    deficit = n - power
+    return np.maximum(deficit, n * 1e-15)
+
+
 def _projection_deficit(u_s: np.ndarray, cfg: UpaConfig,
                         mu_axis: np.ndarray, nu_axis: np.ndarray) -> np.ndarray:
     """||a||^2 - ||U_s^H a||^2 on the (mu, nu) grid; equals a^H U_n U_n^H a."""
-    a_mu = steering_matrix(mu_axis, cfg.n_y)
-    a_nu = steering_matrix(nu_axis, cfg.n_z)
-    n = cfg.n
-    power = np.zeros((mu_axis.size, nu_axis.size))
-    for col in range(u_s.shape[1]):
-        s = u_s[:, col].reshape(cfg.n_y, cfg.n_z)
-        c = a_mu @ s.conj() @ a_nu.T
-        power += np.abs(c) ** 2
-    deficit = n - power
-    return np.maximum(deficit, n * 1e-15)
+    return _deficit(u_s, cfg, steering_matrix(mu_axis, cfg.n_y), steering_matrix(nu_axis, cfg.n_z))
+
+
+def _steering_rows(phis: np.ndarray, n: int) -> np.ndarray:
+    """steering_matrix over an array of directions of any shape: (*phis.shape, n)."""
+    return steering_matrix(phis.ravel(), n).reshape(*phis.shape, n)
 
 
 def _axis(resolution: float) -> np.ndarray:
@@ -104,14 +150,87 @@ def _axis(resolution: float) -> np.ndarray:
 def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
                    grid_resolution: float = DEFAULT_GRID_RESOLUTION,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MUSIC spectrum 1 / (a^H U_n U_n^H a) over [-1, 1]^2.
+    """MUSIC spectrum 1 / (a^H U_n U_n^H a) over the dense grid on [-1, 1]^2.
 
-    Returns (mu_axis, nu_axis, values) with values[i, j] at (mu_axis[i], nu_axis[j]).
+    cov is the snapshot block Y or a covariance built from it (see
+    _signal_subspace).  Returns (mu_axis, nu_axis, values) with values[i, j] at
+    (mu_axis[i], nu_axis[j]).
     """
-    _, u_s, _ = signal_noise_subspaces(cov, k)
+    u_s = _signal_subspace(cov, k)
     mu_axis = _axis(grid_resolution)
     nu_axis = _axis(grid_resolution)
     return mu_axis, nu_axis, 1.0 / _projection_deficit(u_s, cfg, mu_axis, nu_axis)
+
+
+def _zoom(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, centers: np.ndarray,
+          reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-resolution local maxima within `reach` nodes of each (i, j) center: (nodes, values).
+
+    A node counts only when all eight of its neighbours were evaluated, so
+    every node returned is a local maximum of the dense spectrum too.
+    """
+    size = 2 * reach + 3  # reach <= 1 / (2 grid_resolution) keeps it inside the axis
+    starts = np.clip(centers - reach - 1, 0, axis.size - size)  # (windows, 2)
+    rows = starts[:, 0, None] + np.arange(size)
+    cols = starts[:, 1, None] + np.arange(size)
+    spectrum = 1.0 / _deficit(u_s, cfg, _steering_rows(axis[rows], cfg.n_y),
+                              _steering_rows(axis[cols], cfg.n_z))
+    mask = local_maxima_2d(spectrum)
+    # A window edge inside the grid has unevaluated neighbours beyond it.
+    mask[starts[:, 0] > 0, 0, :] = False
+    mask[starts[:, 0] + size < axis.size, -1, :] = False
+    mask[starts[:, 1] > 0, :, 0] = False
+    mask[starts[:, 1] + size < axis.size, :, -1] = False
+    w, r, c = np.nonzero(mask)
+    return np.stack([rows[w, r], cols[w, c]], axis=1), spectrum[w, r, c]
+
+
+def _search_grid(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, grid_resolution: float,
+                 k: int) -> list[tuple[int, int, float]]:
+    """The (i, j, value) nodes that top_peaks_2d picks from the dense spectrum on axis x axis.
+
+    The spectrum has no feature narrower than a beamwidth (2/n per axis), so
+    it is first sampled every `stride` nodes, at most a quarter beamwidth
+    apart.  Coarse nodes are then zoomed: the nodes around them are
+    evaluated at full resolution, and the local maxima found go through the
+    same tie rule and suppression as top_peaks_2d.
+      1. The strongest coarse local maxima, EXTRA_COARSE_CANDIDATES more than
+         k because coarse sampling can misorder sharp peaks, are zoomed one
+         stride wide: a coarse maximum has its dense maximum within a stride.
+      2. Every coarse node within ZOOM_MARGIN of the weakest pick is zoomed
+         half a stride wide, until none is left.  Any dense maximum lies
+         within half a stride per axis of a coarse node, which at a quarter
+         beamwidth costs a noise-level maximum about 0.2% of its value; this
+         finds maxima without a coarse maximum of their own, such as a weak
+         one on the flank of a stronger lobe.
+    Strides below MIN_COARSE_STRIDE, and searches that find fewer than k
+    peaks, use the dense grid instead.
+    """
+    stride = int(1.0 / (2 * max(cfg.n_y, cfg.n_z) * grid_resolution))
+    if stride >= MIN_COARSE_STRIDE:
+        coarse = np.unique(np.append(np.arange(0, axis.size, stride), axis.size - 1))
+        coarse_spectrum = 1.0 / _projection_deficit(u_s, cfg, axis[coarse], axis[coarse])
+        zoomed = np.zeros(coarse_spectrum.shape, dtype=bool)
+        zoomed[tuple(np.array(top_peaks_2d(coarse_spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
+        nodes, values = _zoom(u_s, cfg, axis, coarse[np.argwhere(zoomed)], stride)
+        while True:
+            nodes, first = np.unique(nodes, axis=0, return_index=True)  # zooms may overlap
+            values = values[first]
+            peaks = strongest_separated(nodes, values, k, PEAK_SUPPRESSION_RADIUS)
+            if len(peaks) < k:
+                break
+            lookup = {(int(i), int(j)): float(v) for (i, j), v in zip(nodes, values)}
+            picked = [(i, j, lookup[i, j]) for i, j in peaks]
+            more = (coarse_spectrum >= (1.0 - ZOOM_MARGIN) * picked[-1][2]) & ~zoomed
+            if not more.any():
+                return picked
+            zoomed |= more
+            new_nodes, new_values = _zoom(u_s, cfg, axis, coarse[np.argwhere(more)], (stride + 1) // 2)
+            nodes = np.concatenate([nodes, new_nodes])
+            values = np.concatenate([values, new_values])
+    spectrum = 1.0 / _projection_deficit(u_s, cfg, axis, axis)
+    return [(i, j, float(spectrum[i, j]))
+            for i, j in top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)]
 
 
 def _refine_peak(u_s: np.ndarray, cfg: UpaConfig, mu0: float, nu0: float,
@@ -136,26 +255,28 @@ def music_estimate(cov: np.ndarray, cfg: UpaConfig, k: int,
                    refine_levels: int = 1) -> MusicEstimate:
     """Top-k spectrum peaks with non-maximum suppression and optional local zoom.
 
-    Peaks are the k largest local maxima of the coarse spectrum (suppression
-    radius 3 grid steps, ties broken toward the lowest grid index).  Each
+    cov is the snapshot block Y (N_BS x T1) or any Hermitian PSD covariance
+    such as (1/T1) Y Y^H; both give the same signal subspace (see
+    _signal_subspace), and Y is the cheaper input.  Peaks are the k largest
+    local maxima of the grid_resolution spectrum (suppression radius 3 grid
+    steps, ties broken toward the lowest grid index), found by a
+    coarse-to-fine search: quarter-beamwidth strides first, then the full
+    resolution around the strongest coarse maxima and around every coarse
+    node nearly as strong as the weakest pick (see _search_grid).  Each
     refinement level re-searches a 10x finer local grid around a peak.
     Raises UnderResolvedError when fewer than k peaks exist.
     """
-    _, u_s, _ = signal_noise_subspaces(cov, k)
-    mu_axis = _axis(grid_resolution)
-    nu_axis = _axis(grid_resolution)
-    deficit = _projection_deficit(u_s, cfg, mu_axis, nu_axis)
-    spectrum = 1.0 / deficit
-    peaks = top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)
+    u_s = _signal_subspace(cov, k)
+    axis = _axis(grid_resolution)
+    peaks = _search_grid(u_s, cfg, axis, grid_resolution, k)
     if len(peaks) < k:
         raise UnderResolvedError(f"found {len(peaks)} spectrum peaks, need {k}", found=len(peaks))
 
     angles: list[SpatialAnglePair] = []
     values: list[float] = []
     final_step = grid_resolution
-    for i, j in peaks:
-        mu0, nu0 = float(mu_axis[i]), float(nu_axis[j])
-        val = float(spectrum[i, j])
+    for i, j, val in peaks:
+        mu0, nu0 = float(axis[i]), float(axis[j])
         if refine_levels > 0:
             mu0, nu0, val, final_step = _refine_peak(u_s, cfg, mu0, nu0, grid_resolution, refine_levels)
         angles.append(SpatialAnglePair(mu0, nu0))

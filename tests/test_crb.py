@@ -3,12 +3,15 @@ import pytest
 
 from irsloc import (
     crb_trace_stage1,
+    dft_codebook,
     fim_finite_difference_oracle,
     fim_stage1,
     fim_stage1_white,
     fim_stage2_case1,
     fim_stage2_case2,
     repeated_codeword_witness,
+    upa_response,
+    upa_response_derivatives,
 )
 from irsloc.channel import PathKind, path_gain
 from irsloc.crb import (
@@ -113,6 +116,61 @@ def test_stage1_fim_matches_fd_oracle():
             h=np.array([1e-5, 1e-5, 1e-6, 1e-6]))
         rel = np.linalg.norm(closed.matrix - fd.matrix) / np.linalg.norm(closed.matrix)
         assert rel < 1e-4
+
+
+def dense_fim_stage1(g, r, t1, noise_var):
+    """The stage-1 FIM from dense N_BS x N_BS trace products: the oracle for the quadratic forms."""
+    beta = path_gain(PathKind.BTB, g, target_index=0).value
+    doa = g.bs_target_doa(0)
+    a = upa_response(doa, g.bs_upa)
+    da_mu, da_nu = upa_response_derivatives(doa, g.bs_upa)
+    a_mat = np.outer(a, a)
+    ad_mu = np.outer(da_mu, a) + np.outer(a, da_mu)
+    ad_nu = np.outer(da_nu, a) + np.outer(a, da_nu)
+    c = 2.0 * t1 / noise_var
+    ab2 = abs(beta) ** 2
+
+    def tr(x, y):
+        return complex(np.trace(x @ r @ y.conj().T))
+
+    f = np.zeros((4, 4))
+    f[0, 0] = c * ab2 * tr(ad_mu, ad_mu).real
+    f[1, 1] = c * ab2 * tr(ad_nu, ad_nu).real
+    f[0, 1] = f[1, 0] = c * ab2 * tr(ad_nu, ad_mu).real
+    z_mu = np.conj(beta) * tr(a_mat, ad_mu)
+    z_nu = np.conj(beta) * tr(a_mat, ad_nu)
+    f[0, 2:] = c * np.array([z_mu.real, -z_mu.imag])
+    f[1, 2:] = c * np.array([z_nu.real, -z_nu.imag])
+    f[2:, 0] = f[0, 2:]
+    f[2:, 1] = f[1, 2:]
+    f[2:, 2:] = c * tr(a_mat, a_mat).real * np.eye(2)
+    return f
+
+
+def random_psd(n, seed):
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+    return x @ x.conj().T / n
+
+
+@pytest.mark.parametrize("coherence", ["dft_t1_below_n", "random_psd"])
+def test_stage1_fim_matches_dense_trace_oracle(single_scene, coherence):
+    for seed in range(3):
+        g = single_scene if seed == 0 else random_desk_scene(seed + 50)
+        t1 = 60 if seed == 0 else 5
+        if coherence == "dft_t1_below_n":
+            w = dft_codebook(g.n_bs, t1, 0.1 * (seed + 1))
+            r = w @ w.conj().T / t1
+        else:
+            r = random_psd(g.n_bs, seed)
+        noise = 1e-11 if seed == 0 else 0.4
+        got = fim_stage1(g, r, t1, noise).matrix
+        want = dense_fim_stage1(g, r, t1, noise)
+        np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-12)
+        # entries carry mixed units, so compare the correlation-normalized matrix
+        d = 1.0 / np.sqrt(np.diag(want))
+        np.testing.assert_allclose(d[:, None] * got * d, d[:, None] * want * d,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_stage2_case1_fim_matches_fd_oracle():

@@ -43,6 +43,21 @@ def test_reference_target_recovered_exactly(single_scene):
     assert est.d_i2t == pytest.approx(np.sqrt(13.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("spacing", [0.3, 0.4, 0.5])
+def test_round_trip_at_element_spacing(single_scene, spacing):
+    # spatial angles scale with 2d/lambda on both arrays; the construction
+    # must undo that scale before inverting them as direction cosines
+    g = SceneGeometry(
+        bs=single_scene.bs, irs=single_scene.irs, targets=single_scene.targets,
+        bs_upa=UpaConfig(20, 20, spacing), irs_upa=[UpaConfig(30, 30, spacing)],
+    )
+    est = construct_location(exact_obs(g), g)
+    err = np.linalg.norm(est.position.as_array() - np.array([-20.0, 2.0, 0.0]))
+    assert err < 1e-9
+    assert est.d_b2t == pytest.approx(np.sqrt(429.0), rel=1e-12)
+    assert est.d_i2t == pytest.approx(np.sqrt(13.0), rel=1e-12)
+
+
 def random_nondegenerate_scene(seed):
     r = np.random.default_rng(seed)
     while True:

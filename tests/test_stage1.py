@@ -3,6 +3,7 @@ import pytest
 
 from irsloc import (
     InvalidArgumentError,
+    MusicEstimate,
     Position3,
     SceneGeometry,
     SpatialAnglePair,
@@ -16,6 +17,8 @@ from irsloc import (
     synthesize_stage1,
     upa_response,
 )
+from irsloc._gridpeaks import top_peaks_2d
+from irsloc.channel import channel_btb, dbm_to_watts
 
 
 def small_scene(targets=None):
@@ -59,6 +62,18 @@ def test_synthesis_rejects_wrong_probing_shape():
     g = small_scene()
     with pytest.raises(InvalidArgumentError):
         synthesize_stage1(g, np.zeros((3, 5)), 0.0, 0)
+
+
+def test_synthesis_matches_dense_channel_oracle():
+    # the rank-1 synthesis equals (sum_k H_BTB,k) W from the dense builders,
+    # with the noise drawn in the same order
+    g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
+    w = dft_codebook(g.n_bs, 16, 1.0)
+    block = synthesize_stage1(g, w, 1e-3, 11)
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((g.n_bs, 16)) + 1j * rng.standard_normal((g.n_bs, 16))
+    dense = (channel_btb(g, 0) + channel_btb(g, 1)) @ w + np.sqrt(1e-3 / 2.0) * noise
+    np.testing.assert_allclose(block.samples, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 def test_sample_covariance_properties():
@@ -205,3 +220,75 @@ def test_under_resolved_when_grid_cannot_hold_requested_peaks():
     with pytest.raises(UnderResolvedError) as err:
         music_estimate(cov, g.bs_upa, 2, grid_resolution=1.0, refine_levels=0)
     assert err.value.found == 1
+
+
+def flagship_bs_scene(targets):
+    return SceneGeometry(
+        bs=Position3(0.0, 0.0, 5.0), irs=[Position3(-20.0, 0.0, 3.0)],
+        targets=targets, bs_upa=UpaConfig(20, 20), irs_upa=[UpaConfig(30, 30)],
+    )
+
+
+def at_bs_angles(mu, nu, distance):
+    """Target seen from the BS at (0, 0, 5) under spatial angles (mu, nu)."""
+    return Position3(-distance * np.sqrt(1.0 - mu**2 - nu**2), mu * distance, 5.0 + nu * distance)
+
+
+SEARCH_SCENES = {
+    "one_target": [Position3(-20.0, 2.0, 0.0)],
+    # 0.15 apart in mu: 1.5 beamwidths of the 20-element axis
+    "close_pair": [at_bs_angles(0.3, -0.2, 15.0), at_bs_angles(0.45, -0.2, 15.0)],
+    "three_targets": [Position3(-10.0, 10.0, 0.0), Position3(-20.0, 2.0, 0.0),
+                      Position3(-5.0, 10.0, 0.0)],
+    "grid_edge": [at_bs_angles(0.995, -0.05, 12.0)],
+}
+
+
+def grid_nodes(est: MusicEstimate, resolution: float) -> dict:
+    return {(round((a.mu + 1.0) / resolution), round((a.nu + 1.0) / resolution)): v
+            for a, v in zip(est.angles, est.spectrum_peak_values)}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_SCENES))
+def test_coarse_to_fine_search_matches_dense_grid(name):
+    # 4 scenes x 11 powers x 5 seeds = 220 blocks at the shipped array, T1 and
+    # grid; the dense spectrum with top_peaks_2d is the oracle
+    g = flagship_bs_scene(SEARCH_SCENES[name])
+    k = len(g.targets)
+    res = 2e-3
+    for p_dbm in range(-10, 45, 5):
+        probing = dft_codebook(g.n_bs, 60, dbm_to_watts(p_dbm))
+        for seed in range(5):
+            block = synthesize_stage1(g, probing, 1e-11, 1000 * (p_dbm + 10) + seed)
+            _, _, spec = music_spectrum(block.samples, g.bs_upa, k, res)
+            want = top_peaks_2d(spec, k, 3)
+            got = grid_nodes(music_estimate(block.samples, g.bs_upa, k, res, refine_levels=0), res)
+            assert sorted(got) == sorted(want), (p_dbm, seed)
+            for node, value in got.items():
+                assert value == pytest.approx(spec[node], rel=1e-9)
+            if seed == 0:
+                from_y = music_estimate(block.samples, g.bs_upa, k, res, refine_levels=2)
+                from_cov = music_estimate(sample_covariance(block), g.bs_upa, k, res,
+                                          refine_levels=2)
+                assert from_y.angles == from_cov.angles, (p_dbm, seed)
+
+
+def test_search_finds_weak_maximum_on_a_lobe_flank():
+    # asking for a third peak next to the close pair at -5 dBm picks a noise
+    # maximum on the flank of the pair's lobes; the coarse grid rises
+    # straight through it, so only the zoom around near-equal coarse nodes
+    # finds it
+    g = flagship_bs_scene(SEARCH_SCENES["close_pair"])
+    block = synthesize_stage1(g, dft_codebook(g.n_bs, 60, dbm_to_watts(-5.0)), 1e-11, 500024)
+    _, _, spec = music_spectrum(block.samples, g.bs_upa, 3, 2e-3)
+    want = top_peaks_2d(spec, 3, 3)
+    assert want[2] == (593, 393)
+    got = grid_nodes(music_estimate(block.samples, g.bs_upa, 3, 2e-3, refine_levels=0), 2e-3)
+    assert sorted(got) == sorted(want)
+
+
+def test_snapshots_need_as_many_columns_as_targets():
+    g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
+    block = synthesize_stage1(g, dft_codebook(g.n_bs, 1, 1.0), 0.0, 0)
+    with pytest.raises(InvalidArgumentError):
+        music_estimate(block.samples, g.bs_upa, 2, 0.01)
