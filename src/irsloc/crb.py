@@ -4,6 +4,12 @@ Every FIM here is the Gaussian-mean form 2/sigma^2 * Re{(du/d eta_i)^H (du/d eta
 the noise covariance never depends on the parameters, so only the mean
 derivatives matter.  A finite-difference oracle over the same rule provides
 an independent check of every closed form.
+
+The stage-1 FIM is quadratic forms in the BS response and its derivatives.
+The stage-2 FIMs need only the per-sample projections w^T q, w^T qdot_mu and
+w^T qdot_nu of the scan codewords onto the surface response; for Kronecker
+codewords these are products of per-axis beam gains, c_y^T u_y times
+c_z^T u_z, so no codeword of the surface's full length is formed.
 """
 
 from __future__ import annotations
@@ -14,10 +20,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrays import SpatialAnglePair, UpaConfig, upa_response, upa_response_derivatives
+from .arrays import (
+    SpatialAnglePair,
+    UpaConfig,
+    steering_derivative,
+    steering_vector,
+    upa_response,
+    upa_response_derivatives,
+)
 from .channel import PathKind, SceneGeometry, path_gain
 from .errors import InvalidArgumentError, OracleFailureError
-from .stage2 import case1_amplitude, case2_amplitude, composite_angle
+from .stage2 import KroneckerCodewords, case1_amplitude, case2_amplitude, composite_angle
 
 SINGULARITY_EIG_RATIO = 1e-12
 
@@ -154,21 +167,47 @@ def crb_trace_stage1(geometry: SceneGeometry, probing_covariance: np.ndarray, t1
     return float(np.sum(result.crb_diag))
 
 
+def _check_unit_modulus(w: np.ndarray) -> None:
+    if np.any(np.abs(np.abs(w) - 1.0) > 1e-9):
+        raise InvalidArgumentError("codeword entries must be unit modulus")
+
+
 def _check_codewords(codewords: Sequence[np.ndarray], n_r: int) -> np.ndarray:
     w = np.stack([np.asarray(c) for c in codewords], axis=1)
     if w.shape[1] < 1:
         raise InvalidArgumentError("need at least one codeword")
     if w.shape[0] != n_r:
         raise InvalidArgumentError(f"codewords must have length {n_r}")
-    if np.any(np.abs(np.abs(w) - 1.0) > 1e-9):
-        raise InvalidArgumentError("codeword entries must be unit modulus")
+    _check_unit_modulus(w)
     return w
 
 
-def _surface_response(cfg: UpaConfig, comp: SpatialAnglePair):
-    q = upa_response(comp, cfg)
-    qd_mu, qd_nu = upa_response_derivatives(comp, cfg)
-    return q, qd_mu, qd_nu
+def _projections(cfg: UpaConfig, comp: SpatialAnglePair, codewords: Sequence[np.ndarray]):
+    """Per-sample (w^T q, w^T qdot_mu, w^T qdot_nu) of the scan at the composite angle.
+
+    Kronecker codewords take the mixed-product rule
+    (c_y kron c_z)^T (u_y kron u_z) = (c_y^T u_y)(c_z^T u_z): per-axis gains
+    over each codebook, indexed by each sample's beam pair.  Any other
+    sequence is stacked and projected densely.
+    """
+    if not isinstance(codewords, KroneckerCodewords):
+        w = _check_codewords(codewords, cfg.n)
+        q = upa_response(comp, cfg)
+        qd_mu, qd_nu = upa_response_derivatives(comp, cfg)
+        return w.T @ q, w.T @ qd_mu, w.T @ qd_nu
+    cy, cz = codewords.codebook_y, codewords.codebook_z
+    if len(codewords) < 1:
+        raise InvalidArgumentError("need at least one codeword")
+    if cy.shape[0] != cfg.n_y or cz.shape[0] != cfg.n_z:
+        raise InvalidArgumentError(f"codewords must have length {cfg.n}")
+    _check_unit_modulus(cy)
+    _check_unit_modulus(cz)
+    gy = steering_vector(comp.mu, cfg.n_y) @ cy
+    hy = steering_derivative(comp.mu, cfg.n_y) @ cy
+    gz = steering_vector(comp.nu, cfg.n_z) @ cz
+    hz = steering_derivative(comp.nu, cfg.n_z) @ cz
+    y, z = codewords.y_idx, codewords.z_idx
+    return gy[y] * gz[z], hy[y] * gz[z], gy[y] * hz[z]
 
 
 def fim_stage2_case1(geometry: SceneGeometry, irs_index: int, target_index: int,
@@ -176,21 +215,21 @@ def fim_stage2_case1(geometry: SceneGeometry, irs_index: int, target_index: int,
                      p_bs_watts: float = 1.0) -> FimResult:
     """4x4 FIM over [mu, nu, Re alpha, Im alpha] for the double-bounce model.
 
-    Per-sample quadratic forms w^T Q w with Q = q q^T and its angle
-    derivatives Q_mu = qdot_mu q^T + q qdot_mu^T, summed over the scan.
+    The mean of sample t is alpha (w_t^T q)^2, so its derivatives are
+    2 (w_t^T q)(w_t^T qdot) and (w_t^T q)^2: the FIM is sums over the scan of
+    products of the three projections.  Kronecker codewords give those as
+    per-axis beam gains; other sequences are projected densely.
     """
     if noise_var <= 0:
         raise InvalidArgumentError("noise variance must be positive")
     cfg = geometry.irs_upa[irs_index]
-    w = _check_codewords(irs_codewords, cfg.n)
-    alpha = case1_amplitude(geometry, irs_index, target_index, p_bs_watts)
     comp = composite_angle(geometry, irs_index, target_index)
-    q, qd_mu, qd_nu = _surface_response(cfg, comp)
+    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
+    alpha = case1_amplitude(geometry, irs_index, target_index, p_bs_watts)
 
-    wq = w.T @ q
     s0 = wq**2
-    s_mu = 2.0 * wq * (w.T @ qd_mu)
-    s_nu = 2.0 * wq * (w.T @ qd_nu)
+    s_mu = 2.0 * wq * wq_mu
+    s_nu = 2.0 * wq * wq_nu
 
     c = 2.0 / (noise_var * geometry.n_bs)
     aa2 = abs(alpha) ** 2
@@ -213,16 +252,16 @@ def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
                      p_bs_watts: float = 1.0) -> FimResult:
     """6x6 FIM over [mu_i2t, nu_i2t, mu_b2t, nu_b2t, Re/Im alpha_tilde].
 
-    Mean alpha_tilde * b * W^T q, with b the BS beam-mismatch scalar; the
-    angle derivatives split into W^T qdot terms and bdot scalars.
+    Mean alpha_tilde * b * w_t^T q, with b the BS beam-mismatch scalar; the
+    angle derivatives split into w_t^T qdot terms and bdot scalars, so the
+    FIM again needs only the three per-sample projections of the scan.
     """
     if noise_var <= 0:
         raise InvalidArgumentError("noise variance must be positive")
     cfg = geometry.irs_upa[irs_index]
-    w = _check_codewords(irs_codewords, cfg.n)
-    alpha_t, b = case2_amplitude(geometry, irs_index, target_index, p_bs_watts)
     comp = composite_angle(geometry, irs_index, target_index)
-    q, qd_mu, qd_nu = _surface_response(cfg, comp)
+    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
+    alpha_t, b = case2_amplitude(geometry, irs_index, target_index, p_bs_watts)
 
     a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
     bs_doa = geometry.bs_target_doa(target_index)
@@ -230,10 +269,9 @@ def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
     db_mu = complex(np.vdot(a_irs, da_mu))
     db_nu = complex(np.vdot(a_irs, da_nu))
 
-    wq = w.T @ q
     cols = [
-        alpha_t * b * (w.T @ qd_mu),
-        alpha_t * b * (w.T @ qd_nu),
+        alpha_t * b * wq_mu,
+        alpha_t * b * wq_nu,
         alpha_t * db_mu * wq,
         alpha_t * db_nu * wq,
         b * wq,

@@ -27,6 +27,7 @@ from .localization import construct_location, match_and_localize
 from .stage1 import music_estimate, sample_covariance, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
+    KroneckerCodewords,
     Stage2Mode,
     build_scan_plan,
     classify_regime,
@@ -161,9 +162,41 @@ def _scene_truth(scene: SceneGeometry):
     return bs, irs, pos
 
 
+@dataclass(frozen=True)
+class PowerPoint:
+    """What the trials of one power point share: the probing codebook, a scan plan per surface.
+
+    The arrays are read-only, since one value serves every trial of the point.
+    """
+
+    probing: np.ndarray
+    plans: tuple[IrsScanPlan, ...]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
+    """Build the per-power-point invariants once, for every trial and bound at p_bs_dbm."""
+    probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_bs_dbm))
+    # A plan depends on the surface's array alone, so surfaces of one shape share it.
+    by_array = {u: build_scan_plan(u, config.t2_y, config.t2_z)
+                for u in dict.fromkeys(config.scene.irs_upa)}
+    _read_only(probing)
+    for plan in by_array.values():
+        _read_only(plan.mu_grid, plan.nu_grid, plan.codebook_y, plan.codebook_z)
+    return PowerPoint(probing=probing, plans=tuple(by_array[u] for u in config.scene.irs_upa))
+
+
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
-              trial_index: int = 0) -> TrialRecord:
-    """One full pipeline pass at one power point, deterministic under the seed."""
+              trial_index: int = 0, point: PowerPoint | None = None) -> TrialRecord:
+    """One full pipeline pass at one power point, deterministic under the seed.
+
+    point carries the codebook and scan plans shared by the power point's
+    trials; a trial run alone builds its own.
+    """
     scene = config.scene
     k = config.n_targets
     m = len(scene.irs)
@@ -184,16 +217,16 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         regime=regime, wall_time_s=0.0,
     )
     try:
-        probing = dft_codebook(scene.n_bs, config.t1, p_watts)
-        block = synthesize_stage1(scene, probing, noise_var, stage_seeds[0])
+        if point is None:
+            point = power_point(config, p_bs_dbm)
+        block = synthesize_stage1(scene, point.probing, noise_var, stage_seeds[0])
         music = music_estimate(block.samples, scene.bs_upa, k, config.music_grid,
                                config.music_refine_levels)
         est_bs = music.angles
         record.est_bs_doas = _align(true_bs, _angles_to_array(est_bs))
 
         est_irs: list[list[SpatialAnglePair]] = []
-        for i in range(m):
-            plan = build_scan_plan(scene.irs_upa[i], config.t2_y, config.t2_z)
+        for i, plan in enumerate(point.plans):
             obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
                                     mode=config.stage2_mode, p_bs_watts=p_watts,
                                     joint=config.joint_scan)
@@ -210,16 +243,19 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     return record
 
 
-def _scan_plan_codewords(config: ExperimentConfig, plan: IrsScanPlan) -> list[np.ndarray]:
+def _scan_plan_codewords(config: ExperimentConfig, plan: IrsScanPlan) -> KroneckerCodewords:
     return joint_codewords(plan) if config.joint_scan else sequential_codewords(plan)
 
 
-def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
+def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
+               point: PowerPoint | None = None) -> dict:
     """Bound columns for one power point, straight from the closed forms.
 
     The stage-1 bound uses the coherence matrix of the codebook actually
     probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
+    The stage-2 bound takes the first surface's scan codewords as Kronecker
+    factors.  point, when given, is the power point's shared codebook and plans.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
@@ -227,11 +263,11 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    probing = dft_codebook(scene.n_bs, config.t1, p_watts)
-    r_w = probing @ probing.conj().T / config.t1
+    if point is None:
+        point = power_point(config, p_bs_dbm)
+    r_w = point.probing @ point.probing.conj().T / config.t1
     s1 = fim_stage1(scene, r_w, config.t1, noise_var)
-    plan = build_scan_plan(scene.irs_upa[0], config.t2_y, config.t2_z)
-    words = _scan_plan_codewords(config, plan)
+    words = _scan_plan_codewords(config, point.plans[0])
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"
@@ -287,13 +323,14 @@ def run_experiment(config: ExperimentConfig,
     """Power sweep of seeded trials; one aggregate row per sweep point."""
     rows = []
     for s_idx, p_dbm in enumerate(config.p_bs_dbm_sweep):
-        records = [run_trial(config, p_dbm, trial_seed(config.base_seed, s_idx, t), t)
+        point = power_point(config, p_dbm)
+        records = [run_trial(config, p_dbm, trial_seed(config.base_seed, s_idx, t), t, point)
                    for t in range(config.trials)]
         if trial_sink is not None:
             trial_sink.extend(records)
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(aggregate_trials(records))
-        row.update(attach_crb(config, p_dbm))
+        row.update(attach_crb(config, p_dbm, point))
         rows.append(row)
     return rows
 
@@ -305,7 +342,8 @@ def run_t2_sweep(config: ExperimentConfig, t2_values: Sequence[int],
     rows = []
     for s_idx, t2 in enumerate(t2_values):
         cfg = replace(config, t2_y=int(t2), t2_z=int(t2), p_bs_dbm_sweep=[p_dbm])
-        records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, s_idx, t), t)
+        point = power_point(cfg, p_dbm)
+        records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, s_idx, t), t, point)
                    for t in range(config.trials)]
         row = {"t2": int(t2), "p_bs_dbm": float(p_dbm)}
         row.update(aggregate_trials(records))
@@ -320,6 +358,7 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
     if config.n_targets != 1:
         raise InvalidArgumentError("area sweep is a single-target experiment")
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
+    point = power_point(config, p_dbm)  # the cells move the target only
     rows = []
     cell = 0
     for x in x_values:
@@ -329,7 +368,8 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
             records, degenerate = [], 0
             for t in range(config.trials):
                 try:
-                    records.append(run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t))
+                    records.append(run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t,
+                                             point))
                 except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
                     degenerate += 1
             row = {"x": float(x), "y": float(y)}

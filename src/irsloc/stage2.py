@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +58,33 @@ class IrsScanPlan:
     codebook_z: np.ndarray   # (n_z, t2_z)
     hold_y_index: int        # center codeword held while the other axis sweeps
     hold_z_index: int
+
+
+@dataclass(frozen=True, eq=False)
+class KroneckerCodewords(Sequence):
+    """Scan codewords kept as their Kronecker factors.
+
+    Item t is kron(codebook_y[:, y_idx[t]], codebook_z[:, z_idx[t]]), so the
+    value reads as the list of dense phase vectors, while the bounds can use
+    the two codebooks and the per-sample beam indices directly.
+    """
+
+    codebook_y: np.ndarray   # (n_y, t2_y)
+    codebook_z: np.ndarray   # (n_z, t2_z)
+    y_idx: np.ndarray        # (samples,) y-beam of each sample
+    z_idx: np.ndarray        # (samples,) z-beam of each sample
+
+    def __post_init__(self):
+        if np.shape(self.y_idx) != np.shape(self.z_idx) or np.ndim(self.y_idx) != 1:
+            raise InvalidArgumentError("y and z beam indices must be two 1-D arrays of one length")
+
+    def __len__(self) -> int:
+        return len(self.y_idx)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return replace(self, y_idx=self.y_idx[t], z_idx=self.z_idx[t])
+        return np.kron(self.codebook_y[:, self.y_idx[t]], self.codebook_z[:, self.z_idx[t]])
 
 
 @dataclass
@@ -152,6 +180,12 @@ def case2_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
     return alpha_t, b
 
 
+def _joint_indices(plan: IrsScanPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Beam index pairs of a joint scan, row-major over (y, z)."""
+    ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
+    return ii.ravel(), jj.ravel()
+
+
 def _beam_gains(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan):
     """Per-target steering products u^T(angle) w for every codeword of each axis."""
     cfg = geometry.irs_upa[irs_index]
@@ -217,8 +251,7 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
             rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
 
     if joint:
-        ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
-        grid = noisy(ii.ravel(), jj.ravel()).reshape(plan.t2_y, plan.t2_z)
+        grid = noisy(*_joint_indices(plan)).reshape(plan.t2_y, plan.t2_z)
         return ScanObservation(mode="joint", noise_var_effective=eff_var, grid_values=grid)
 
     y_idx = np.arange(plan.t2_y)
@@ -276,16 +309,17 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                              float(plan.nu_grid[j]) - bs_irs_doa.nu) for i, j in pairs]
 
 
-def sequential_codewords(plan: IrsScanPlan) -> list[np.ndarray]:
-    """Nominal per-sample phase vectors of a sequential scan (center holds)."""
-    words = [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, plan.hold_z_index])
-             for i in range(plan.t2_y)]
-    words += [np.kron(plan.codebook_y[:, plan.hold_y_index], plan.codebook_z[:, j])
-              for j in range(plan.t2_z)]
-    return words
+def sequential_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
+    """Nominal per-sample phase vectors of a sequential scan (center holds).
+
+    The y sweep holds the center z beam, then the z sweep holds the center
+    y beam; the value keeps the factors and indexes like the dense list.
+    """
+    y_idx = np.concatenate([np.arange(plan.t2_y), np.full(plan.t2_z, plan.hold_y_index)])
+    z_idx = np.concatenate([np.full(plan.t2_y, plan.hold_z_index), np.arange(plan.t2_z)])
+    return KroneckerCodewords(plan.codebook_y, plan.codebook_z, y_idx, z_idx)
 
 
-def joint_codewords(plan: IrsScanPlan) -> list[np.ndarray]:
-    """Per-sample phase vectors of a joint scan, row-major over (y, z) beams."""
-    return [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
-            for i in range(plan.t2_y) for j in range(plan.t2_z)]
+def joint_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
+    """Per-sample phase vectors of a joint scan, row-major over (y, z) beams, kept as factors."""
+    return KroneckerCodewords(plan.codebook_y, plan.codebook_z, *_joint_indices(plan))

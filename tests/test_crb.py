@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from irsloc import (
     fim_stage2_case1,
     fim_stage2_case2,
     repeated_codeword_witness,
+    UpaConfig,
     upa_response,
     upa_response_derivatives,
 )
@@ -19,12 +22,14 @@ from irsloc.crb import (
     stage2_case1_mean_builder,
     stage2_case2_mean_builder,
 )
-from irsloc.errors import OracleFailureError
+from irsloc.errors import InvalidArgumentError, OracleFailureError
 from irsloc.stage2 import (
+    KroneckerCodewords,
     build_scan_plan,
     case1_amplitude,
     case2_amplitude,
     composite_angle,
+    joint_codewords,
     sequential_codewords,
 )
 
@@ -318,3 +323,73 @@ def test_singular_input_covariance_gives_infinite_trace():
     n = g.n_bs
     cov = np.zeros((n, n), dtype=complex)  # no probing power at all
     assert crb_trace_stage1(g, cov, 8, 1.0) == np.inf
+
+
+def dense_joint_codewords(plan):
+    """The dense per-sample Kronecker vectors of a joint scan: the oracle for the factored value."""
+    return [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
+            for i in range(plan.t2_y) for j in range(plan.t2_z)]
+
+
+def dense_sequential_codewords(plan):
+    words = [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, plan.hold_z_index])
+             for i in range(plan.t2_y)]
+    words += [np.kron(plan.codebook_y[:, plan.hold_y_index], plan.codebook_z[:, j])
+              for j in range(plan.t2_z)]
+    return words
+
+
+SCANS = {"joint": (joint_codewords, dense_joint_codewords),
+         "sequential": (sequential_codewords, dense_sequential_codewords)}
+
+
+@pytest.mark.parametrize("fim", [fim_stage2_case1, fim_stage2_case2])
+@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("surface, beams", [
+    ((30, 30), (60, 60)),  # the flagship surface and scan
+    ((5, 7), (4, 6)),      # non-square, holds at beams 1 and 2
+    ((5, 7), (7, 5)),      # non-square, holds at beams 3 and 2
+], ids=["flagship", "5x7_4x6", "5x7_7x5"])
+def test_factored_stage2_fim_matches_dense_codewords(single_scene, fim, scan, surface, beams):
+    g = replace(single_scene, irs_upa=[UpaConfig(*surface)])
+    plan = build_scan_plan(g.irs_upa[0], *beams)
+    factored, dense = SCANS[scan]
+    words, oracle = factored(plan), dense(plan)
+    assert len(words) == len(oracle)
+    for got, want in zip(words, oracle, strict=True):
+        np.testing.assert_array_equal(got, want)
+    got = fim(g, 0, 0, words, 1e-11, 10.0).matrix
+    want = fim(g, 0, 0, oracle, 1e-11, 10.0).matrix
+    # entries carry mixed units, so compare the correlation-normalized matrix
+    d = 1.0 / np.sqrt(np.diag(want))
+    np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-12)
+    np.testing.assert_allclose(d[:, None] * got * d, d[:, None] * want * d,
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("fim", [fim_stage2_case1, fim_stage2_case2])
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_factored_codewords_keep_the_unit_modulus_check(single_scene, fim, axis):
+    plan = build_scan_plan(single_scene.irs_upa[0], 5, 5)
+    words = joint_codewords(plan)
+    book = getattr(words, f"codebook_{axis}").copy()
+    book[1, 2] *= 1.01
+    bad = replace(words, **{f"codebook_{axis}": book})
+    with pytest.raises(InvalidArgumentError, match="unit modulus"):
+        fim(single_scene, 0, 0, bad, 1e-11, 1.0)
+    short = replace(words, **{f"codebook_{axis}": book[1:]})
+    with pytest.raises(InvalidArgumentError, match="length"):
+        fim(single_scene, 0, 0, short, 1e-11, 1.0)
+    with pytest.raises(InvalidArgumentError, match="at least one"):
+        fim(single_scene, 0, 0, words[:0], 1e-11, 1.0)
+
+
+def test_factored_codewords_slice_like_the_dense_list():
+    plan = build_scan_plan(UpaConfig(3, 4), 4, 5)
+    words = sequential_codewords(plan)
+    assert isinstance(words[2:7], KroneckerCodewords)
+    for got, want in zip(words[2:7], dense_sequential_codewords(plan)[2:7], strict=True):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(words[-1], dense_sequential_codewords(plan)[-1])
+    with pytest.raises(IndexError):
+        words[len(words)]

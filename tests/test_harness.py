@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from irsloc import (
     run_trial,
     trial_seed,
 )
-from irsloc.harness import aggregate_trials, run_area_sweep, run_doa_snapshot, run_t2_sweep
+from irsloc.harness import (
+    aggregate_trials,
+    attach_crb,
+    power_point,
+    run_area_sweep,
+    run_doa_snapshot,
+    run_t2_sweep,
+)
 from irsloc.localization import DoAPairObservation, construct_location
 from irsloc.stage2 import build_scan_plan
 
@@ -58,6 +66,21 @@ def test_trial_replays_bit_identically():
     assert not a.failed and not b.failed
     assert np.array_equal(a.est_positions, b.est_positions)
     assert np.array_equal(a.est_bs_doas, b.est_bs_doas)
+
+
+def test_shared_power_point_matches_a_trial_run_alone():
+    cfg = ExperimentConfig.from_yaml(str(Path(__file__).resolve().parents[1]
+                                         / "configs" / "multi_target.yaml"))
+    point = power_point(cfg, 40.0)
+    assert point.plans[0] is point.plans[2]  # surfaces of one shape share their plan
+    for a in (point.probing, point.plans[0].codebook_y, point.plans[0].codebook_z):
+        assert not a.flags.writeable
+    seed = trial_seed(cfg.base_seed, 0, 0)
+    alone, shared = run_trial(cfg, 40.0, seed, 0), run_trial(cfg, 40.0, seed, 0, point)
+    assert not alone.failed and not shared.failed
+    assert np.array_equal(alone.est_positions, shared.est_positions)
+    assert np.array_equal(alone.est_irs_doas, shared.est_irs_doas)
+    assert attach_crb(cfg, 40.0) == attach_crb(cfg, 40.0, point)
 
 
 def test_run_reruns_byte_identical_csv(tmp_path):

@@ -2,10 +2,34 @@
 
 from pathlib import Path
 
+import pytest
 
-def test_every_trace_site_resolves(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from irsloc import harness
+from irsloc.harness import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import sweeps
 
+    return sweeps
+
+
+def test_every_trace_site_resolves(sweeps):
     for module, attribute, span, _ in sweeps.trace_sites():
         assert callable(getattr(module, attribute, None)), (module.__name__, attribute, span)
+
+
+def test_traced_bounds_call_counts_the_factored_codewords(sweeps):
+    from spans import Patches, Tracer
+
+    cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "multi_target.yaml"))
+    tracer = Tracer("harness.trial")
+    with Patches(tracer, sweeps.trace_sites()):
+        bounds = harness.attach_crb(cfg, max(cfg.p_bs_dbm_sweep))
+    assert bounds == harness.attach_crb(cfg, max(cfg.p_bs_dbm_sweep))
+    assert tracer.counts["crb.codewords"] == cfg.t2_y * cfg.t2_z == 3600
+    assert {s.name for s in tracer.spans} >= {"harness.bounds", "stage2.codewords", "crb.stage2"}
