@@ -64,8 +64,6 @@ from .harness import (
 from .localization import (
     DoAPairObservation,
     LocationEstimate,
-    ProtocolSchedule,
-    build_schedule,
     construct_location,
     match_and_localize,
 )

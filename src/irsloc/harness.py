@@ -10,20 +10,20 @@ to the output come exclusively from the Fisher-information module.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import yaml
-from scipy.optimize import linear_sum_assignment
 
 from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
 from .channel import SceneGeometry, dbm_to_watts
 from .crb import fim_stage1, fim_stage2_case1, fim_stage2_case2
 from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
-from .localization import construct_location, match_and_localize
+from .localization import MATCHING_BUDGET, construct_location, match_and_localize
 from .stage1 import music_estimate, sample_covariance, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise InvalidArgumentError("every stage needs at least one sample")
         if not self.scene.irs:
             raise InvalidArgumentError("need at least one reflecting surface")
+        if self.n_targets > MATCHING_BUDGET:
+            raise InvalidArgumentError(
+                f"{self.n_targets} targets exceed the matching budget {MATCHING_BUDGET}")
         if isinstance(self.stage2_mode, str):
             self.stage2_mode = Stage2Mode(self.stage2_mode)
 
@@ -146,10 +149,15 @@ def _angles_to_array(angles: Sequence[SpatialAnglePair]) -> np.ndarray:
 
 
 def _align(true_rows: np.ndarray, est_rows: np.ndarray) -> np.ndarray:
-    """Reorder est_rows to minimize the summed squared distance to true_rows."""
+    """Reorder est_rows to minimize the summed squared distance to true_rows.
+
+    Exact search over all k! orders; the config caps k at MATCHING_BUDGET.
+    """
     cost = np.sum((true_rows[:, None, :] - est_rows[None, :, :]) ** 2, axis=-1)
-    _, cols = linear_sum_assignment(cost)
-    return est_rows[cols]
+    k = len(true_rows)
+    perms = np.array(list(itertools.permutations(range(k))))
+    best = int(np.argmin(cost[np.arange(k), perms].sum(axis=1)))
+    return est_rows[perms[best]]
 
 
 def _scene_truth(scene: SceneGeometry):

@@ -1,4 +1,4 @@
-"""3D location construction from DoA pairs, the scan schedule, and target matching.
+"""3D location construction from DoA pairs and target matching.
 
 One BS DoA plus one surface DoA pin down the two ranges through a 2x2 linear
 system in the y-z plane; the x coordinate comes from the BS range sphere,
@@ -50,21 +50,6 @@ class LocationEstimate:
     d_i2t: float
     branch_chosen: RootBranch
     residual: float
-
-
-@dataclass(frozen=True)
-class ScheduleStage:
-    irs_on: int | None
-    sample_count: int
-
-
-@dataclass
-class ProtocolSchedule:
-    stages: list[ScheduleStage]
-
-    @property
-    def total_samples(self) -> int:
-        return sum(s.sample_count for s in self.stages)
 
 
 def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> LocationEstimate:
@@ -125,17 +110,6 @@ def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> Loca
         d_b2t=float(d_b2t), d_i2t=float(d_i2t),
         branch_chosen=branch, residual=float(residual),
     )
-
-
-def build_schedule(m: int, t1: int, t2_per_irs: int) -> ProtocolSchedule:
-    """Stage 0 with everything off, then one stage per surface, each exclusive."""
-    if m < 1:
-        raise InvalidArgumentError("need at least one reflecting surface")
-    if t1 < 1 or t2_per_irs < 1:
-        raise InvalidArgumentError("every stage needs at least one sample")
-    stages = [ScheduleStage(irs_on=None, sample_count=t1)]
-    stages += [ScheduleStage(irs_on=i, sample_count=t2_per_irs) for i in range(m)]
-    return ProtocolSchedule(stages=stages)
 
 
 @dataclass
@@ -209,8 +183,7 @@ def enumerate_pair_assignments(bs_doas, doas_a, doas_b, irs_a: int, irs_b: int,
 
 def match_and_localize(bs_doas: list[SpatialAnglePair],
                        per_irs_doas: dict[int, list[SpatialAnglePair]],
-                       geometry: SceneGeometry,
-                       max_targets: int = MATCHING_BUDGET) -> list[LocationEstimate]:
+                       geometry: SceneGeometry) -> list[LocationEstimate]:
     """Assign surface DoAs to BS DoAs and reconstruct every target.
 
     Output order follows bs_doas.  Each surface pair contributes the
@@ -221,8 +194,8 @@ def match_and_localize(bs_doas: list[SpatialAnglePair],
     k = len(bs_doas)
     if k < 1:
         raise InvalidArgumentError("need at least one BS DoA")
-    if k > max_targets:
-        raise CapacityError(f"{k} targets exceed the factorial matching budget {max_targets}")
+    if k > MATCHING_BUDGET:
+        raise CapacityError(f"{k} targets exceed the factorial matching budget {MATCHING_BUDGET}")
     irs_ids = sorted(per_irs_doas)
     for m in irs_ids:
         if not (0 <= m < len(geometry.irs)):

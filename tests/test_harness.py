@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from irsloc import (
     trial_seed,
 )
 from irsloc.harness import (
+    _align,
     aggregate_trials,
     attach_crb,
     power_point,
@@ -248,3 +252,46 @@ def test_config_validation():
     no_surface = replace(tiny_config().scene, irs=[], irs_upa=[])
     with pytest.raises(InvalidArgumentError):
         tiny_config(scene=no_surface)
+    five, six = ([Position3(-12.0, 6.0 - j, 0.0) for j in range(n)] for n in (5, 6))
+    tiny_config(scene=replace(tiny_config().scene, targets=five, rcs_dbsm=[]))
+    with pytest.raises(InvalidArgumentError, match="matching budget"):
+        tiny_config(scene=replace(tiny_config().scene, targets=six, rcs_dbsm=[]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_align_matches_hungarian_oracle(k):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(k)
+    for trial in range(40):
+        true_rows = rng.uniform(-1.0, 1.0, (k, 2))
+        est_rows = rng.uniform(-1.0, 1.0, (k, 2))
+        if k > 1 and trial % 2:
+            est_rows[rng.integers(1, k)] = est_rows[0]
+        cost = np.sum((true_rows[:, None, :] - est_rows[None, :, :]) ** 2, axis=-1)
+        expected = est_rows[linear_sum_assignment(cost)[1]]
+        assert np.array_equal(_align(true_rows, est_rows), expected)
+        if k > 1:
+            # coincident truths tie; any order reaching the optimal cost is right
+            true_rows[rng.integers(1, k)] = true_rows[0]
+            cost = np.sum((true_rows[:, None, :] - est_rows[None, :, :]) ** 2, axis=-1)
+            optimum = cost[linear_sum_assignment(cost)].sum()
+            got = np.sum((true_rows - _align(true_rows, est_rows)) ** 2)
+            assert got == pytest.approx(optimum, rel=1e-12, abs=1e-15)
+
+
+def test_trial_loads_no_scipy():
+    import irsloc
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "single_target.yaml"
+    script = (
+        "import sys\n"
+        "from irsloc import ExperimentConfig, run_trial\n"
+        f"assert not run_trial(ExperimentConfig.from_yaml({str(config)!r}), 40.0, 1).failed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(irsloc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout.strip() == "[]"

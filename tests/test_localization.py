@@ -11,7 +11,6 @@ from irsloc import (
     SceneGeometry,
     SpatialAnglePair,
     UpaConfig,
-    build_schedule,
     construct_location,
     match_and_localize,
     spatial_doa,
@@ -118,22 +117,6 @@ def test_unphysical_doa_pair_rejected():
     with pytest.raises(InconsistentDoAError) as err:
         construct_location(bad, g)
     assert err.value.radicand is not None
-
-
-def test_schedule_shapes():
-    two_stage = build_schedule(1, 24, 20)
-    assert len(two_stage.stages) == 2
-    assert two_stage.stages[0].irs_on is None
-    assert two_stage.stages[1].irs_on == 0
-
-    multi = build_schedule(3, 24, 20)
-    assert multi.total_samples == 84
-    on = [s.irs_on for s in multi.stages]
-    assert on == [None, 0, 1, 2]
-    assert len(set(on)) == len(on)
-
-    with pytest.raises(InvalidArgumentError):
-        build_schedule(1, 0, 20)
 
 
 def multi_irs_scene():
