@@ -129,7 +129,8 @@ def spatial_doa(from_pos: Position3, to_pos: Position3, spacing_over_lambda: flo
 def dft_codebook(n: int, t: int, power: float) -> np.ndarray:
     """DFT probing codebook, one codeword per column (n x t).
 
-    Entry (k, tau), 0-based, is sqrt(power/n) * exp(-j*2*pi*tau*k/t).  The
+    Entry (k, tau), 0-based, is sqrt(power/n) * exp(-j*2*pi*tau*k/t), looked up
+    among the t roots of unity at (tau*k) mod t, so no phase exceeds 2*pi.  The
     sample coherence (1/t) W W^H equals (power/n) I whenever t is a multiple
     of n, and tr((1/t) W W^H) = power always.
     """
@@ -139,9 +140,8 @@ def dft_codebook(n: int, t: int, power: float) -> np.ndarray:
         raise InvalidArgumentError("transmit power must be positive")
     if t < n:
         warnings.warn(f"codebook with t={t} < n={n} columns cannot be spatially white", stacklevel=2)
-    k = np.arange(n)[:, None]
-    tau = np.arange(t)[None, :]
-    return np.sqrt(power / n) * np.exp(-2j * np.pi * tau * k / t)
+    roots = np.exp(-2j * np.pi * np.arange(t) / t)
+    return np.sqrt(power / n) * roots[np.outer(np.arange(n), np.arange(t)) % t]
 
 
 def normalized_beam_gain(delta_mu: float, delta_nu: float, n_bar: int) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .arrays import SpatialAnglePair, upa_response, upa_response_derivatives
 from .channel import SceneGeometry, dbm_to_watts, stage2_effective_channel
-from .crb import crb_trace_stage1, fim_stage1, fim_stage1_white
+from .crb import fim_stage1, fim_stage1_white
 from .harness import (
     ExperimentConfig,
     attach_crb,
@@ -69,11 +69,8 @@ def _cmd_crb(args) -> int:
     for p_dbm in config.p_bs_dbm_sweep:
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(attach_crb(config, p_dbm))
-        p_watts = dbm_to_watts(p_dbm)
-        n = config.scene.n_bs
-        white = (p_watts / n) * np.eye(n, dtype=complex)
-        row["crb_trace_stage1"] = crb_trace_stage1(config.scene, white, config.t1,
-                                                   config.noise_var)
+        white = fim_stage1_white(config.scene, dbm_to_watts(p_dbm), config.t1, config.noise_var)
+        row["crb_trace_stage1"] = float(np.sum(white.crb_diag))  # inf when singular
         rows.append(row)
     _emit(rows, None, args.out or config.output_path)
     return 0

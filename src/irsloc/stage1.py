@@ -2,9 +2,9 @@
 
 The BS probes with T1 waveform columns, collects the direct target echoes,
 and locates spectrum peaks of 1 / (a^H U_n U_n^H a) over the spatial-angle
-square [-1, 1]^2.  The signal subspace U_s is the top-k left singular vectors
-of the snapshots Y (N_BS x T1), which are also those of (1/T1) Y Y^H, so a
-Hermitian PSD covariance works as input too.  The denominator is evaluated
+square [-1, 1]^2.  The signal subspace U_s is the top-k left singular
+subspace of the snapshots Y (N_BS x T1), found from the T1 x T1 Gram Y^H Y;
+a Hermitian PSD covariance works as input too.  The denominator is evaluated
 through the orthogonal complement ||a||^2 - ||U_s^H a||^2, which is
 algebraically identical and lets the Kronecker structure of the UPA response
 carry the grid search.  The search samples the grid at quarter-beamwidth
@@ -99,19 +99,21 @@ def signal_noise_subspaces(cov: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
 
 
 def _signal_subspace(x: np.ndarray, k: int) -> np.ndarray:
-    """Top-k left singular vectors of the snapshots Y or of a Hermitian PSD covariance.
+    """Orthonormal top-k left singular subspace of Y, or of a Hermitian PSD covariance.
 
-    (1/T1) Y Y^H has exactly the left singular vectors of Y, and a Hermitian
-    PSD matrix has its eigenvectors as left singular vectors, so both inputs
-    give the same signal subspace; the thin SVD of Y skips forming the
-    N_BS x N_BS covariance.
+    Each eigenvector v of the Gram Y^H Y maps to Y v = sigma u, so the k
+    strongest span the subspace without an N_BS x N_BS matrix.  A thin QR,
+    not 1/sigma, normalises them: it stays orthonormal when a requested
+    direction has no signal (sigma ~ 0).  A covariance C has the Gram C^2,
+    whose eigenvectors are those of C.
     """
     n = x.shape[0]
     if not (0 < k < n):
         raise InvalidArgumentError(f"need 0 < k < {n}, got k={k}")
     if x.shape[1] < k:
         raise InvalidArgumentError(f"{x.shape[1]} columns cannot span {k} signal directions")
-    return np.linalg.svd(x, full_matrices=False)[0][:, :k]
+    v = np.linalg.eigh(x.conj().T @ x)[1][:, :-k - 1:-1]  # eigh sorts ascending
+    return np.linalg.qr(x @ v)[0]
 
 
 def _deficit(u_s: np.ndarray, cfg: UpaConfig, a_mu: np.ndarray, a_nu: np.ndarray) -> np.ndarray:

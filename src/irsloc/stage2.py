@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._gridpeaks import top_peaks_1d, top_peaks_2d
-from .arrays import SpatialAnglePair, UpaConfig, steering_vector, upa_response
+from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, steering_vector, upa_response
 from .channel import (  # channel_b2i/bti/iti: unused, but perfbench traces them by name here
     PathKind,
     SceneGeometry,
@@ -127,8 +127,8 @@ def build_scan_plan(irs_cfg: UpaConfig, t2_y: int, t2_z: int) -> IrsScanPlan:
                       stacklevel=2)
     mu_grid = _scan_grid(t2_y)
     nu_grid = _scan_grid(t2_z)
-    codebook_y = np.conj(np.stack([steering_vector(m, irs_cfg.n_y) for m in mu_grid], axis=1))
-    codebook_z = np.conj(np.stack([steering_vector(n, irs_cfg.n_z) for n in nu_grid], axis=1))
+    codebook_y = np.conj(steering_matrix(mu_grid, irs_cfg.n_y).T)
+    codebook_z = np.conj(steering_matrix(nu_grid, irs_cfg.n_z).T)
     return IrsScanPlan(
         t2_y=t2_y, t2_z=t2_z, mu_grid=mu_grid, nu_grid=nu_grid,
         codebook_y=codebook_y, codebook_z=codebook_z,

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ def test_dft_codebook_trace_is_power():
                 w = dft_codebook(n, t, power)
         trace = np.trace(w @ w.conj().T / t).real
         assert trace == pytest.approx(power, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, t", [(1, 1), (5, 1), (4, 8), (3, 7), (6, 4), (10, 60), (400, 60)])
+def test_dft_codebook_matches_direct_formula(n, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # t < n warns
+        w = dft_codebook(n, t, 2.5)
+    k = np.arange(n)[:, None]
+    tau = np.arange(t)[None, :]
+    direct = np.sqrt(2.5 / n) * np.exp(-2j * np.pi * tau * k / t)
+    assert w.shape == (n, t)
+    assert np.max(np.abs(w - direct)) < 1e-12
 
 
 def test_dft_codebook_rejects_nonpositive_power():

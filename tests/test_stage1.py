@@ -19,6 +19,7 @@ from irsloc import (
 )
 from irsloc._gridpeaks import top_peaks_2d
 from irsloc.channel import channel_btb, dbm_to_watts
+from irsloc.stage1 import _signal_subspace
 
 
 def small_scene(targets=None):
@@ -292,3 +293,43 @@ def test_snapshots_need_as_many_columns_as_targets():
     block = synthesize_stage1(g, dft_codebook(g.n_bs, 1, 1.0), 0.0, 0)
     with pytest.raises(InvalidArgumentError):
         music_estimate(block.samples, g.bs_upa, 2, 0.01)
+
+
+GRAM_TARGETS = [Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0), Position3(-9.0, -4.0, -1.0)]
+
+
+def projector(u):
+    return u @ u.conj().T
+
+
+@pytest.mark.filterwarnings("ignore:codebook with t=8")
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t1", [8, 16, 32])  # T1 < N, T1 = N, T1 > N for the 4x4 BS
+def test_gram_subspace_matches_thin_svd(k, t1):
+    g = small_scene(targets=GRAM_TARGETS[:k])
+    for p_dbm in (-10, 0, 10, 20, 30, 40):
+        y = synthesize_stage1(g, dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm)), 1e-11,
+                              1000 * k + 10 * t1 + p_dbm).samples
+        u_svd = np.linalg.svd(y, full_matrices=False)[0][:, :k]
+        u_s = _signal_subspace(y, k)
+        assert u_s.shape == (g.n_bs, k)
+        assert np.max(np.abs(projector(u_s) - projector(u_svd))) < 1e-12
+
+
+def test_gram_subspace_of_a_covariance_matches_its_eigenvectors():
+    g = small_scene(targets=GRAM_TARGETS[:2])
+    cov = sample_covariance(synthesize_stage1(g, dft_codebook(g.n_bs, 16, dbm_to_watts(10.0)),
+                                              1e-11, 9))
+    _, u_eig, _ = signal_noise_subspaces(cov, 2)
+    assert np.max(np.abs(projector(_signal_subspace(cov, 2)) - projector(u_eig))) < 1e-12
+
+
+def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
+    # One noiseless target asked for two directions: the second has no signal.
+    g = small_scene()
+    y = synthesize_stage1(g, dft_codebook(g.n_bs, 16, 1.0), 0.0, 0).samples
+    u_s = _signal_subspace(y, 2)
+    assert np.all(np.isfinite(u_s))
+    assert np.max(np.abs(u_s.conj().T @ u_s - np.eye(2))) < 1e-12
+    a = upa_response(g.bs_target_doa(0), g.bs_upa)
+    assert np.max(np.abs(projector(u_s[:, :1]) - np.outer(a, a.conj()) / g.n_bs)) < 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ def test_scan_codewords_unit_modulus():
     plan = build_scan_plan(UpaConfig(6, 5), 8, 8)
     assert np.max(np.abs(np.abs(plan.codebook_y) - 1.0)) < 1e-15
     assert np.max(np.abs(np.abs(plan.codebook_z) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("cfg, t2_y, t2_z", [(UpaConfig(30, 30), 60, 60), (UpaConfig(6, 5), 8, 3),
+                                             (UpaConfig(1, 4), 1, 7)])
+def test_scan_codebooks_match_stacked_steering_vectors(cfg, t2_y, t2_z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one beam warns
+        plan = build_scan_plan(cfg, t2_y, t2_z)
+    for codebook, grid, n in ((plan.codebook_y, plan.mu_grid, cfg.n_y),
+                              (plan.codebook_z, plan.nu_grid, cfg.n_z)):
+        stacked = np.stack([np.conj(steering_vector(phi, n)) for phi in grid], axis=1)
+        assert codebook.shape == stacked.shape
+        assert np.max(np.abs(codebook - stacked)) < 1e-14
 
 
 def test_scan_plan_warns_below_three_beams():
