@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("every stage needs at least one sample")
         if not self.scene.irs:
             raise InvalidArgumentError("need at least one reflecting surface")
+        if not (np.isfinite(self.music_grid) and 0.0 < self.music_grid <= 1.0):
+            raise InvalidArgumentError(f"music_grid {self.music_grid} must lie in (0, 1]")
+        if self.music_refine_levels < 0:
+            raise InvalidArgumentError("music_refine_levels must be non-negative")
         if self.n_targets > MATCHING_BUDGET:
             raise InvalidArgumentError(
                 f"{self.n_targets} targets exceed the matching budget {MATCHING_BUDGET}")
@@ -444,6 +448,8 @@ def emit_csv(rows: list[dict], path: str, columns: Sequence[str] | None = None) 
 
 def emit_figure_data(rows: list[dict], figure_id: str, path: str) -> None:
     """Project rows onto one figure's column layout and write CSV."""
+    if not rows:
+        raise InvalidArgumentError("nothing to emit")
     if figure_id not in FIGURE_COLUMNS:
         raise InvalidArgumentError(f"unknown figure id {figure_id!r}")
     cols = FIGURE_COLUMNS[figure_id]

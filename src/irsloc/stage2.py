@@ -32,6 +32,7 @@ from .errors import InvalidArgumentError, UnderResolvedError
 
 SCAN_SUPPRESSION_RADIUS = 1  # beam-grid steps; scan grids are far coarser than the spectrum grid
 CASE2_POWER_RATIO = 0.1  # p1/p2 below this is squarely single-bounce dominated
+_NOISE_CHUNK = 64  # samples per real GEMM of the full-echo noise filter
 
 
 class Stage2Mode(enum.Enum):
@@ -220,6 +221,27 @@ def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
     return out
 
 
+def _filtered_antenna_noise(rng: np.random.Generator, a_irs: np.ndarray, samples: int,
+                            noise_var: float) -> np.ndarray:
+    """a^H n_t for per-antenna noise n_t ~ CN(0, sigma^2 I), one value per sample.
+
+    Rows 2t and 2t+1 of each chunk's real draws are sample t's real and
+    imaginary parts, the order of one standard_normal((samples, 2, N_BS))
+    call.  One real GEMM against [Re a, -Im a] gives the four real products
+    of each sample, so no complex samples x N_BS array is formed.
+    """
+    chunk = min(_NOISE_CHUNK, samples)
+    buf = np.empty((2 * chunk, len(a_irs)))
+    filt = np.sqrt(noise_var / 2.0) * np.stack([a_irs.real, -a_irs.imag], axis=1)
+    parts = np.empty((2 * samples, 2))
+    for start in range(0, samples, chunk):
+        rows = 2 * min(chunk, samples - start)
+        rng.standard_normal(out=buf[:rows])
+        np.matmul(buf[:rows], filt, out=parts[2 * start:2 * start + rows])
+    f = parts.reshape(samples, 2, 2)
+    return (f[:, 0, 0] - f[:, 1, 1]) + 1j * (f[:, 0, 1] + f[:, 1, 0])
+
+
 def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
                       noise_var: float, seed: int,
                       mode: Stage2Mode = Stage2Mode.CASE1_APPROX,
@@ -232,8 +254,9 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     one target, and the center codeword otherwise, since with several targets
     the strongest target's beam would suppress everyone else's elevation peak.
     The full echo filters per-antenna noise with a^H (N_BS real, then N_BS
-    imaginary draws per sample); the approximations draw the filtered noise
-    directly.  Both have variance N_BS * sigma^2.
+    imaginary draws per sample, the draws of one standard_normal((samples, 2,
+    N_BS)) call), chunk by chunk with one real GEMM each; the approximations
+    draw the filtered noise directly.  Both have variance N_BS * sigma^2.
     """
     rng = np.random.default_rng(seed)
     n_bs = geometry.n_bs
@@ -245,8 +268,7 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
             return vals
         if mode is Stage2Mode.FULL_ECHO:
             a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-            draws = rng.standard_normal((len(vals), 2, n_bs))
-            return vals + np.sqrt(noise_var / 2.0) * (draws[:, 0] + 1j * draws[:, 1]) @ np.conj(a_irs)
+            return vals + _filtered_antenna_noise(rng, a_irs, len(vals), noise_var)
         return vals + np.sqrt(eff_var / 2.0) * (
             rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
 

@@ -121,6 +121,13 @@ def test_figure_projection_and_validation(tmp_path):
         emit_figure_data(rows, "nope", str(tmp_path / "g.csv"))
 
 
+def test_figure_data_rejects_empty_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    with pytest.raises(InvalidArgumentError, match="nothing to emit"):
+        emit_figure_data([], "fig6", str(path))
+    assert not path.exists()
+
+
 def test_failed_trials_are_counted_not_fatal():
     # target on the y=0 axis plane: collinear construction, every trial fails
     scene = SceneGeometry(
@@ -256,6 +263,12 @@ def test_config_validation():
     tiny_config(scene=replace(tiny_config().scene, targets=five, rcs_dbsm=[]))
     with pytest.raises(InvalidArgumentError, match="matching budget"):
         tiny_config(scene=replace(tiny_config().scene, targets=six, rcs_dbsm=[]))
+    for bad in ({"music_grid": 0}, {"music_grid": -1e-3}, {"music_grid": 1.5},
+                {"music_grid": float("nan")}, {"music_grid": float("inf")},
+                {"music_refine_levels": -1}):
+        with pytest.raises(InvalidArgumentError):
+            tiny_config(**bad)
+    tiny_config(music_grid=1.0, music_refine_levels=0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from irsloc import (
     upa_response,
 )
 from irsloc.channel import PathKind, path_gain, stage2_effective_channel
-from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
+from irsloc.stage2 import _NOISE_CHUNK, Stage2Mode, case1_amplitude, case2_amplitude
 
 from conftest import random_desk_scene
 
@@ -170,6 +171,62 @@ def test_full_echo_matches_dense_oracle(noise_var):
     expected = _dense_full_echo(g, plan, p, y_idx, z_idx, noise_var, seed)
     np.testing.assert_allclose(np.concatenate([seq.y_values, seq.z_values]), expected,
                                rtol=1e-10, atol=0)
+
+
+def _one_shot_noise(g, rng, samples, noise_var):
+    """Oracle: the full echo's filtered noise from one standard_normal call per sweep."""
+    a_irs = upa_response(g.bs_irs_aod(0), g.bs_upa)
+    d = rng.standard_normal((samples, 2, g.n_bs))
+    return np.sqrt(noise_var / 2.0) * (d[:, 0] + 1j * d[:, 1]) @ np.conj(a_irs)
+
+
+def _assert_noise_close(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("samples", [1, _NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1,
+                                     2 * _NOISE_CHUNK + 3])
+def test_full_echo_noise_matches_one_shot_draws_across_chunks(samples):
+    g = random_desk_scene(29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-beam axis warns
+        plan = build_scan_plan(g.irs_upa[0], samples, 1)
+    p, noise_var, seed = 2.0, 1e-3, 41
+    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    noisy = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    expected = _one_shot_noise(g, np.random.default_rng(seed), samples, noise_var)
+    _assert_noise_close((noisy.grid_values - clean.grid_values).ravel(), expected)
+
+
+def test_full_echo_sequential_noise_continues_the_stream_across_chunks():
+    # the y sweep spans more than one chunk, so the z sweep's draws start mid-chunk
+    g = random_desk_scene(31)
+    plan = build_scan_plan(g.irs_upa[0], _NOISE_CHUNK + 6, 5)
+    p, noise_var, seed = 2.0, 1e-3, 43
+    obs = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
+    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    rng = np.random.default_rng(seed)
+    y_noise = _one_shot_noise(g, rng, plan.t2_y, noise_var)
+    z_noise = _one_shot_noise(g, rng, plan.t2_z, noise_var)
+    _assert_noise_close(obs.y_values - clean.grid_values[:, plan.hold_z_index], y_noise)
+    assert obs.best_y_index == int(np.argmax(np.abs(clean.grid_values[:, plan.hold_z_index]
+                                                    + y_noise) ** 2))
+    _assert_noise_close(obs.z_values - clean.grid_values[obs.best_y_index], z_noise)
+
+
+def test_full_echo_noise_filter_allocates_no_dense_draw_matrix(single_scene):
+    # flagship 400-element BS, 30x30 joint scan: the complex 900x400 draw matrix
+    # alone would take 5.8 MB
+    plan = build_scan_plan(single_scene.irs_upa[0], 30, 30)
+    args = (single_scene, 0, plan, 1e-11, 3, Stage2Mode.FULL_ECHO, 1.0)
+    synthesize_stage2(*args, joint=True)
+    tracemalloc.start()
+    try:
+        synthesize_stage2(*args, joint=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_case1_approximation_error_small_for_large_arrays(single_scene):
