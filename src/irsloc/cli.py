@@ -27,18 +27,12 @@ from .stage2 import build_scan_plan, cascade_scalar, classify_regime, matched_th
 
 
 def _emit(rows, figure, out):
-    if out is None:
-        cols = rows and list(rows[0].keys())
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                           for c in cols))
-        return
     if figure:
         emit_figure_data(rows, figure, out)
     else:
         emit_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    if out is not None:
+        print(f"wrote {len(rows)} rows to {out}")
 
 
 def _cmd_run(args) -> int:

@@ -24,13 +24,18 @@ from .arrays import (
     SpatialAnglePair,
     UpaConfig,
     steering_derivative,
-    steering_vector,
     upa_response,
     upa_response_derivatives,
 )
 from .channel import PathKind, SceneGeometry, path_gain
 from .errors import InvalidArgumentError, OracleFailureError
-from .stage2 import KroneckerCodewords, case1_amplitude, case2_amplitude, composite_angle
+from .stage2 import (
+    KroneckerCodewords,
+    beam_gains,
+    case1_amplitude,
+    case2_amplitude,
+    composite_angle,
+)
 
 SINGULARITY_EIG_RATIO = 1e-12
 
@@ -202,9 +207,8 @@ def _projections(cfg: UpaConfig, comp: SpatialAnglePair, codewords: Sequence[np.
         raise InvalidArgumentError(f"codewords must have length {cfg.n}")
     _check_unit_modulus(cy)
     _check_unit_modulus(cz)
-    gy = steering_vector(comp.mu, cfg.n_y) @ cy
+    gy, gz = beam_gains(cfg, comp, cy, cz)
     hy = steering_derivative(comp.mu, cfg.n_y) @ cy
-    gz = steering_vector(comp.nu, cfg.n_z) @ cz
     hz = steering_derivative(comp.nu, cfg.n_z) @ cz
     y, z = codewords.y_idx, codewords.z_idx
     return gy[y] * gz[z], hy[y] * gz[z], gy[y] * hz[z]

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -57,10 +60,18 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("t1", "t2_y", "t2_z", "trials", "music_refine_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidArgumentError(f"{name} {value!r} must be an integer")
         if self.trials < 1:
             raise InvalidArgumentError("need at least one trial")
         if not self.p_bs_dbm_sweep:
             raise InvalidArgumentError("power sweep must be non-empty")
+        if not np.all(np.isfinite(self.p_bs_dbm_sweep)):
+            raise InvalidArgumentError(f"power sweep {self.p_bs_dbm_sweep} must be finite")
+        if not self.noise_dbm < np.inf:  # NaN or +inf; -inf is the noiseless limit
+            raise InvalidArgumentError(f"noise_dbm {self.noise_dbm} must be below +inf")
         if self.t1 < 1 or self.t2_y < 1 or self.t2_z < 1:
             raise InvalidArgumentError("every stage needs at least one sample")
         if not self.scene.irs:
@@ -434,20 +445,27 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: list[dict], path: str, columns: Sequence[str] | None = None) -> None:
-    """Write rows with a header; floats keep full round-trip precision."""
+def emit_csv(rows: list[dict], path: str | None, columns: Sequence[str] | None = None) -> None:
+    """Write rows with a header to path, or to stdout (newline-terminated) when path is None.
+
+    Floats keep full round-trip precision.
+    """
     if not rows:
         raise InvalidArgumentError("nothing to emit")
     cols = list(columns) if columns is not None else list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    if path is None:
+        out, terminator = nullcontext(sys.stdout), "\n"
+    else:
+        out, terminator = open(path, "w", newline=""), "\r\n"
+    with out as fh:
+        writer = csv.writer(fh, lineterminator=terminator)
         writer.writerow(cols)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in cols])
 
 
-def emit_figure_data(rows: list[dict], figure_id: str, path: str) -> None:
-    """Project rows onto one figure's column layout and write CSV."""
+def emit_figure_data(rows: list[dict], figure_id: str, path: str | None) -> None:
+    """Project rows onto one figure's column layout and write CSV (stdout when path is None)."""
     if not rows:
         raise InvalidArgumentError("nothing to emit")
     if figure_id not in FIGURE_COLUMNS:

@@ -32,7 +32,6 @@ from .errors import InvalidArgumentError, UnderResolvedError
 
 SCAN_SUPPRESSION_RADIUS = 1  # beam-grid steps; scan grids are far coarser than the spectrum grid
 CASE2_POWER_RATIO = 0.1  # p1/p2 below this is squarely single-bounce dominated
-_NOISE_CHUNK = 64  # samples per real GEMM of the full-echo noise filter
 
 
 class Stage2Mode(enum.Enum):
@@ -187,16 +186,11 @@ def _joint_indices(plan: IrsScanPlan) -> tuple[np.ndarray, np.ndarray]:
     return ii.ravel(), jj.ravel()
 
 
-def _beam_gains(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan):
-    """Per-target steering products u^T(angle) w for every codeword of each axis."""
-    cfg = geometry.irs_upa[irs_index]
-    gains = []
-    for k in range(len(geometry.targets)):
-        comp = composite_angle(geometry, irs_index, k)
-        gy = steering_vector(comp.mu, cfg.n_y) @ plan.codebook_y
-        gz = steering_vector(comp.nu, cfg.n_z) @ plan.codebook_z
-        gains.append((gy, gz))
-    return gains
+def beam_gains(cfg: UpaConfig, comp: SpatialAnglePair, codebook_y: np.ndarray,
+               codebook_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis steering products u^T(comp.mu) w_y and u^T(comp.nu) w_z over each codebook."""
+    return (steering_vector(comp.mu, cfg.n_y) @ codebook_y,
+            steering_vector(comp.nu, cfg.n_z) @ codebook_z)
 
 
 def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
@@ -208,10 +202,11 @@ def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
     separable cascade scalar.  The full echo is exactly the sum of both terms;
     each approximation keeps one.
     """
-    gains = _beam_gains(geometry, irs_index, plan)
+    cfg = geometry.irs_upa[irs_index]
     out = np.zeros(len(y_idx), dtype=complex)
     for k in range(len(geometry.targets)):
-        gy, gz = gains[k]
+        gy, gz = beam_gains(cfg, composite_angle(geometry, irs_index, k),
+                            plan.codebook_y, plan.codebook_z)
         if mode is not Stage2Mode.CASE2_APPROX:
             alpha = case1_amplitude(geometry, irs_index, k, p_bs_watts)
             out += alpha * gy[y_idx] ** 2 * gz[z_idx] ** 2
@@ -219,27 +214,6 @@ def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
             alpha_t, b = case2_amplitude(geometry, irs_index, k, p_bs_watts)
             out += alpha_t * b * gy[y_idx] * gz[z_idx]
     return out
-
-
-def _filtered_antenna_noise(rng: np.random.Generator, a_irs: np.ndarray, samples: int,
-                            noise_var: float) -> np.ndarray:
-    """a^H n_t for per-antenna noise n_t ~ CN(0, sigma^2 I), one value per sample.
-
-    Rows 2t and 2t+1 of each chunk's real draws are sample t's real and
-    imaginary parts, the order of one standard_normal((samples, 2, N_BS))
-    call.  One real GEMM against [Re a, -Im a] gives the four real products
-    of each sample, so no complex samples x N_BS array is formed.
-    """
-    chunk = min(_NOISE_CHUNK, samples)
-    buf = np.empty((2 * chunk, len(a_irs)))
-    filt = np.sqrt(noise_var / 2.0) * np.stack([a_irs.real, -a_irs.imag], axis=1)
-    parts = np.empty((2 * samples, 2))
-    for start in range(0, samples, chunk):
-        rows = 2 * min(chunk, samples - start)
-        rng.standard_normal(out=buf[:rows])
-        np.matmul(buf[:rows], filt, out=parts[2 * start:2 * start + rows])
-    f = parts.reshape(samples, 2, 2)
-    return (f[:, 0, 0] - f[:, 1, 1]) + 1j * (f[:, 0, 1] + f[:, 1, 0])
 
 
 def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
@@ -253,10 +227,10 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     y sweep.  The z sweep then holds the noisy-best y beam when the scene has
     one target, and the center codeword otherwise, since with several targets
     the strongest target's beam would suppress everyone else's elevation peak.
-    The full echo filters per-antenna noise with a^H (N_BS real, then N_BS
-    imaginary draws per sample, the draws of one standard_normal((samples, 2,
-    N_BS)) call), chunk by chunk with one real GEMM each; the approximations
-    draw the filtered noise directly.  Both have variance N_BS * sigma^2.
+    Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
+    a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
+    draws that scalar directly, all real parts of a sweep and then all
+    imaginary parts, so the modes differ only in their signal model.
     """
     rng = np.random.default_rng(seed)
     n_bs = geometry.n_bs
@@ -266,9 +240,6 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
         vals = _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx)
         if noise_var <= 0:
             return vals
-        if mode is Stage2Mode.FULL_ECHO:
-            a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-            return vals + _filtered_antenna_noise(rng, a_irs, len(vals), noise_var)
         return vals + np.sqrt(eff_var / 2.0) * (
             rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
 

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from irsloc import InvalidArgumentError
 from irsloc.cli import main
 
 CONFIG = """
@@ -47,6 +49,20 @@ def test_run_subcommand_figure_projection(tmp_path):
     assert main(["run", cfg, "--figure", "fig6", "--out", str(out), "--trials", "1"]) == 0
     assert out.read_text().splitlines()[0] == \
         "p_bs_dbm,rmse_mu_b2t,rmse_nu_b2t,sqrt_crb_mu_b2t,sqrt_crb_nu_b2t"
+
+
+def test_run_subcommand_stdout_uses_the_figure_projection(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", cfg, "--figure", "fig6", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p_bs_dbm,rmse_mu_b2t,rmse_nu_b2t,sqrt_crb_mu_b2t,sqrt_crb_nu_b2t"
+    assert len(lines) == 2 and len(lines[1].split(",")) == 5
+
+
+def test_run_subcommand_stdout_rejects_empty_rows(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(InvalidArgumentError, match="nothing to emit"):
+        main(["run", cfg, "--figure", "fig10", "--cells", "0", "--trials", "1"])
 
 
 def test_run_subcommand_seed_override_changes_rows(tmp_path):

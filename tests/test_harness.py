@@ -269,6 +269,13 @@ def test_config_validation():
         with pytest.raises(InvalidArgumentError):
             tiny_config(**bad)
     tiny_config(music_grid=1.0, music_refine_levels=0)
+    for bad in ({"p_bs_dbm_sweep": [10.0, float("nan")]}, {"p_bs_dbm_sweep": [float("inf")]},
+                {"p_bs_dbm_sweep": [float("-inf")]}, {"noise_dbm": float("nan")},
+                {"noise_dbm": float("inf")}, {"t1": 2.5}, {"t2_y": 3.0}, {"t2_z": "4"},
+                {"trials": 1.5}, {"music_refine_levels": 1.0}, {"trials": True}):
+        with pytest.raises(InvalidArgumentError):
+            tiny_config(**bad)
+    tiny_config(noise_dbm=float("-inf"), t1=np.int64(4))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

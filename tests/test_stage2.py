@@ -22,7 +22,7 @@ from irsloc import (
     upa_response,
 )
 from irsloc.channel import PathKind, path_gain, stage2_effective_channel
-from irsloc.stage2 import _NOISE_CHUNK, Stage2Mode, case1_amplitude, case2_amplitude
+from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
 
 from conftest import random_desk_scene
 
@@ -135,22 +135,30 @@ def test_full_echo_equals_scalar_model_identity():
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-18)
 
 
-def _dense_full_echo(g, plan, p, y_idx, z_idx, noise_var, seed):
-    """Oracle: a^H sum_k H_eff,k(theta) w_BS per codeword, with per-antenna noise
-    drawn sample by sample (N_BS real, then N_BS imaginary draws)."""
+def _scalar_noise(rng, samples, eff_var):
+    """One sweep's matched-filter noise: all real draws, then all imaginary draws."""
+    return np.sqrt(eff_var / 2.0) * (rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
+
+
+def _dense_full_echo(g, plan, p, sweeps, noise_var, seed):
+    """Oracle: a^H sum_k H_eff,k(theta) w_BS per codeword of each (y_idx, z_idx)
+    sweep, plus the matched-filter noise a^H n ~ CN(0, N_BS sigma^2) drawn as
+    scalars (all real parts of a sweep, then all imaginary parts)."""
     rng = np.random.default_rng(seed)
     a_irs = upa_response(g.bs_irs_aod(0), g.bs_upa)
     w_bs = np.sqrt(p / g.n_bs) * np.conj(a_irs)
     out = []
-    for i, j in zip(y_idx, z_idx):
-        theta = np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
-        h = sum(stage2_effective_channel(g, 0, k, theta) for k in range(len(g.targets)))
-        val = np.conj(a_irs) @ h @ w_bs
+    for y_idx, z_idx in sweeps:
+        vals = []
+        for i, j in zip(y_idx, z_idx):
+            theta = np.kron(plan.codebook_y[:, i], plan.codebook_z[:, j])
+            h = sum(stage2_effective_channel(g, 0, k, theta) for k in range(len(g.targets)))
+            vals.append(np.conj(a_irs) @ h @ w_bs)
+        vals = np.array(vals)
         if noise_var > 0:
-            val += np.conj(a_irs) @ (np.sqrt(noise_var / 2.0) * (
-                rng.standard_normal(g.n_bs) + 1j * rng.standard_normal(g.n_bs)))
-        out.append(val)
-    return np.array(out)
+            vals += _scalar_noise(rng, len(vals), g.n_bs * noise_var)
+        out.append(vals)
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("noise_var", [0.0, 1e-12])
@@ -162,56 +170,41 @@ def test_full_echo_matches_dense_oracle(noise_var):
     p, seed = 2.0, 31
     joint = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
     ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
-    expected = _dense_full_echo(g, plan, p, ii.ravel(), jj.ravel(), noise_var, seed)
+    expected = _dense_full_echo(g, plan, p, [(ii.ravel(), jj.ravel())], noise_var, seed)
     np.testing.assert_allclose(joint.grid_values.ravel(), expected, rtol=1e-10, atol=0)
 
     seq = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
-    y_idx = list(range(plan.t2_y)) + [plan.hold_y_index] * plan.t2_z
-    z_idx = [plan.hold_z_index] * plan.t2_y + list(range(plan.t2_z))
-    expected = _dense_full_echo(g, plan, p, y_idx, z_idx, noise_var, seed)
+    sweeps = [(range(plan.t2_y), [plan.hold_z_index] * plan.t2_y),
+              ([plan.hold_y_index] * plan.t2_z, range(plan.t2_z))]
+    expected = _dense_full_echo(g, plan, p, sweeps, noise_var, seed)
     np.testing.assert_allclose(np.concatenate([seq.y_values, seq.z_values]), expected,
                                rtol=1e-10, atol=0)
 
 
-def _one_shot_noise(g, rng, samples, noise_var):
-    """Oracle: the full echo's filtered noise from one standard_normal call per sweep."""
-    a_irs = upa_response(g.bs_irs_aod(0), g.bs_upa)
-    d = rng.standard_normal((samples, 2, g.n_bs))
-    return np.sqrt(noise_var / 2.0) * (d[:, 0] + 1j * d[:, 1]) @ np.conj(a_irs)
-
-
-def _assert_noise_close(got, expected):
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
-
-
-@pytest.mark.parametrize("samples", [1, _NOISE_CHUNK - 1, _NOISE_CHUNK, _NOISE_CHUNK + 1,
-                                     2 * _NOISE_CHUNK + 3])
-def test_full_echo_noise_matches_one_shot_draws_across_chunks(samples):
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "sequential"])
+@pytest.mark.parametrize("mode", list(Stage2Mode), ids=lambda m: m.value)
+def test_noise_is_one_scalar_draw_per_sample_in_every_mode(mode, joint):
+    # a^H n with n ~ CN(0, sigma^2 I) is CN(0, N_BS sigma^2): every mode draws it
+    # directly from a fresh generator, sweep by sweep, so the noise is mode-free
     g = random_desk_scene(29)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a one-beam axis warns
-        plan = build_scan_plan(g.irs_upa[0], samples, 1)
+    plan = build_scan_plan(g.irs_upa[0], 60, 60)
     p, noise_var, seed = 2.0, 1e-3, 41
-    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
-    noisy = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
-    expected = _one_shot_noise(g, np.random.default_rng(seed), samples, noise_var)
-    _assert_noise_close((noisy.grid_values - clean.grid_values).ravel(), expected)
-
-
-def test_full_echo_sequential_noise_continues_the_stream_across_chunks():
-    # the y sweep spans more than one chunk, so the z sweep's draws start mid-chunk
-    g = random_desk_scene(31)
-    plan = build_scan_plan(g.irs_upa[0], _NOISE_CHUNK + 6, 5)
-    p, noise_var, seed = 2.0, 1e-3, 43
-    obs = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
-    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    eff_var = g.n_bs * noise_var
+    clean = synthesize_stage2(g, 0, plan, 0.0, seed, mode, p, joint=True).grid_values
+    obs = synthesize_stage2(g, 0, plan, noise_var, seed, mode, p, joint=joint)
     rng = np.random.default_rng(seed)
-    y_noise = _one_shot_noise(g, rng, plan.t2_y, noise_var)
-    z_noise = _one_shot_noise(g, rng, plan.t2_z, noise_var)
-    _assert_noise_close(obs.y_values - clean.grid_values[:, plan.hold_z_index], y_noise)
-    assert obs.best_y_index == int(np.argmax(np.abs(clean.grid_values[:, plan.hold_z_index]
-                                                    + y_noise) ** 2))
-    _assert_noise_close(obs.z_values - clean.grid_values[obs.best_y_index], z_noise)
+    if joint:
+        got, expected = (obs.grid_values - clean).ravel(), _scalar_noise(rng, clean.size, eff_var)
+        assert abs(np.mean(np.abs(got) ** 2) / eff_var - 1.0) < 0.1  # 3600 samples
+    else:
+        y_noise = _scalar_noise(rng, plan.t2_y, eff_var)
+        z_noise = _scalar_noise(rng, plan.t2_z, eff_var)
+        y_clean = clean[:, plan.hold_z_index]
+        assert obs.best_y_index == int(np.argmax(np.abs(y_clean + y_noise) ** 2))
+        got = np.concatenate([obs.y_values - y_clean, obs.z_values - clean[obs.best_y_index]])
+        expected = np.concatenate([y_noise, z_noise])
+    scale = np.max(np.abs(clean)) + np.max(np.abs(expected))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
 def test_full_echo_noise_filter_allocates_no_dense_draw_matrix(single_scene):
