@@ -207,6 +207,22 @@ def test_noise_is_one_scalar_draw_per_sample_in_every_mode(mode, joint):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 131])
+def test_full_echo_noise_matches_one_shot_draws_across_chunks(samples):
+    # sweeps of any length, a single sample and counts around a power of two
+    # included, take their noise from one real and one imaginary draw call
+    g = random_desk_scene(29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-beam axis warns
+        plan = build_scan_plan(g.irs_upa[0], samples, 1)
+    p, noise_var, seed = 2.0, 1e-3, 41
+    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    noisy = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    expected = _scalar_noise(np.random.default_rng(seed), samples, g.n_bs * noise_var)
+    np.testing.assert_allclose((noisy.grid_values - clean.grid_values).ravel(), expected,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
 def test_full_echo_noise_filter_allocates_no_dense_draw_matrix(single_scene):
     # flagship 400-element BS, 30x30 joint scan: the complex 900x400 draw matrix
     # alone would take 5.8 MB
