@@ -9,6 +9,7 @@ centroid, so every steering vector carries the centered phase progression.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,10 +30,14 @@ class UpaConfig:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        for count in (self.n_y, self.n_z):
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+                raise InvalidArgumentError(f"UPA element count {count!r} must be an integer")
         if self.n_y < 1 or self.n_z < 1:
             raise InvalidArgumentError(f"UPA needs at least one element per axis, got {self.n_y}x{self.n_z}")
-        if self.spacing_over_lambda <= 0:
-            raise InvalidArgumentError("element spacing must be positive")
+        if not (np.isfinite(self.spacing_over_lambda) and self.spacing_over_lambda > 0):
+            raise InvalidArgumentError(
+                f"element spacing {self.spacing_over_lambda} must be finite and positive")
 
     @property
     def n(self) -> int:

@@ -67,14 +67,17 @@ class SceneGeometry:
     rcs_dbsm: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.carrier_freq_hz <= 0:
-            raise InvalidArgumentError("carrier frequency must be positive")
+        if not (np.isfinite(self.carrier_freq_hz) and self.carrier_freq_hz > 0):
+            raise InvalidArgumentError(
+                f"carrier frequency {self.carrier_freq_hz} must be finite and positive")
         if len(self.irs_upa) != len(self.irs):
             raise InvalidArgumentError("need one UPA config per reflecting surface")
         if not self.rcs_dbsm:
             self.rcs_dbsm = [7.0] * len(self.targets)
         if len(self.rcs_dbsm) != len(self.targets):
             raise InvalidArgumentError("need one RCS value per target")
+        if not np.all(np.isfinite(self.rcs_dbsm)):
+            raise InvalidArgumentError(f"RCS values {self.rcs_dbsm} must be finite")
 
     @property
     def wavelength(self) -> float:

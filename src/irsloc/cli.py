@@ -63,8 +63,11 @@ def _cmd_crb(args) -> int:
     for p_dbm in config.p_bs_dbm_sweep:
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(attach_crb(config, p_dbm))
-        white = fim_stage1_white(config.scene, dbm_to_watts(p_dbm), config.t1, config.noise_var)
-        row["crb_trace_stage1"] = float(np.sum(white.crb_diag))  # inf when singular
+        if config.noise_var > 0:
+            white = fim_stage1_white(config.scene, dbm_to_watts(p_dbm), config.t1, config.noise_var)
+            row["crb_trace_stage1"] = float(np.sum(white.crb_diag))  # inf when singular
+        else:  # noiseless: a zero bound, as attach_crb reports
+            row["crb_trace_stage1"] = 0.0
         rows.append(row)
     _emit(rows, None, args.out or config.output_path)
     return 0
@@ -114,11 +117,13 @@ def _cmd_validate(args) -> int:
            np.linalg.norm(est.position.as_array() - scene.targets[0].as_array()) < 1e-8,
            failures)
 
+    # Both sides scale as 1/sigma^2, so the identity is checked at sigma^2 = 1
+    # and holds for a noiseless config too.
     p_watts = dbm_to_watts(config.p_bs_dbm_sweep[0])
     n = scene.n_bs
-    white = (p_watts / n) * np.eye(n, dtype=complex)
-    dense = fim_stage1(scene, white, config.t1, config.noise_var)
-    closed = fim_stage1_white(scene, p_watts, config.t1, config.noise_var)
+    white = np.sqrt(p_watts * config.t1 / n) * np.eye(n, dtype=complex)
+    dense = fim_stage1(scene, white, 1.0)
+    closed = fim_stage1_white(scene, p_watts, config.t1, 1.0)
     _check("white-probing information matrix matches its closed form",
            np.allclose(dense.matrix, closed.matrix,
                        rtol=1e-10, atol=1e-10 * abs(closed.matrix).max()), failures)

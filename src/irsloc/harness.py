@@ -15,7 +15,7 @@ import numbers
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +43,12 @@ from .stage2 import (
 DEFAULT_POWER_SWEEP = [float(p) for p in range(-10, 45, 5)]
 
 
+def _reject_unknown_keys(raw: dict, schema, where: str) -> None:
+    unknown = sorted(str(k) for k in set(raw) - {f.name for f in fields(schema)})
+    if unknown:
+        raise InvalidArgumentError(f"unknown {where} keys {unknown}")
+
+
 @dataclass
 class ExperimentConfig:
     scene: SceneGeometry
@@ -60,10 +66,12 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("t1", "t2_y", "t2_z", "trials", "music_refine_levels"):
+        for name in ("t1", "t2_y", "t2_z", "trials", "music_refine_levels", "base_seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidArgumentError(f"{name} {value!r} must be an integer")
+        if not isinstance(self.joint_scan, bool):
+            raise InvalidArgumentError(f"joint_scan {self.joint_scan!r} must be true or false")
         if self.trials < 1:
             raise InvalidArgumentError("need at least one trial")
         if not self.p_bs_dbm_sweep:
@@ -80,11 +88,17 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"music_grid {self.music_grid} must lie in (0, 1]")
         if self.music_refine_levels < 0:
             raise InvalidArgumentError("music_refine_levels must be non-negative")
+        if self.n_targets < 1:
+            raise InvalidArgumentError("need at least one target")
         if self.n_targets > MATCHING_BUDGET:
             raise InvalidArgumentError(
                 f"{self.n_targets} targets exceed the matching budget {MATCHING_BUDGET}")
-        if isinstance(self.stage2_mode, str):
+        try:
             self.stage2_mode = Stage2Mode(self.stage2_mode)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"stage2_mode {self.stage2_mode!r} must be one of "
+                f"{[m.value for m in Stage2Mode]}") from None
 
     @property
     def noise_var(self) -> float:
@@ -97,7 +111,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
+        _reject_unknown_keys(raw, cls, "config")
         scene_raw = dict(raw.pop("scene"))
+        _reject_unknown_keys(scene_raw, SceneGeometry, "scene")
         scene = SceneGeometry(
             bs=Position3(*scene_raw["bs"]),
             irs=[Position3(*p) for p in scene_raw["irs"]],
@@ -274,8 +290,8 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                point: PowerPoint | None = None) -> dict:
     """Bound columns for one power point, straight from the closed forms.
 
-    The stage-1 bound uses the coherence matrix of the codebook actually
-    probed: with fewer samples than antennas the DFT columns are not
+    The stage-1 bound takes the Jacobian of the echo mean against the codebook
+    actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
     The stage-2 bound takes the first surface's scan codewords as Kronecker
     factors.  point, when given, is the power point's shared codebook and plans.
@@ -288,8 +304,7 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
     if point is None:
         point = power_point(config, p_bs_dbm)
-    r_w = point.probing @ point.probing.conj().T / config.t1
-    s1 = fim_stage1(scene, r_w, config.t1, noise_var)
+    s1 = fim_stage1(scene, point.probing, noise_var)
     words = _scan_plan_codewords(config, point.plans[0])
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)

@@ -89,8 +89,8 @@ def three_target_scene():
 def test_criterion_1_optimal_waveform_diagonality():
     g = flagship_scene()
     p, t1 = 1.0, 24
-    white = (p / g.n_bs) * np.eye(g.n_bs, dtype=complex)
-    dense = fim_stage1(g, white, t1, NOISE_VAR)
+    white = np.sqrt(p * t1 / g.n_bs) * np.eye(g.n_bs, dtype=complex)
+    dense = fim_stage1(g, white, NOISE_VAR)
     closed = fim_stage1_white(g, p, t1, NOISE_VAR)
     diag = np.diag(dense.matrix)
     for i in range(4):
@@ -110,7 +110,7 @@ def test_criterion_2_fim_oracle_equivalence():
         r = np.random.default_rng(1000 + seed)
         w = (r.standard_normal((g.n_bs, t1)) + 1j * r.standard_normal((g.n_bs, t1))) / np.sqrt(2)
         noise = float(r.uniform(0.2, 2.0))
-        closed = fim_stage1(g, w @ w.conj().T / t1, t1, noise)
+        closed = fim_stage1(g, w, noise)
         beta = path_gain(PathKind.BTB, g, target_index=0).value
         doa = g.bs_target_doa(0)
         fd = fim_finite_difference_oracle(

@@ -225,3 +225,13 @@ def test_beam_gain_sidelobes_shrink_with_array_size():
         return max(normalized_beam_gain(d, 0.0, n_bar) for d in offs)
 
     assert max_sidelobe(20) < max_sidelobe(5)
+
+
+def test_upa_rejects_fractional_counts_and_bad_spacing():
+    for bad in ({"n_y": 2.5, "n_z": 4}, {"n_y": 4, "n_z": 4.0}, {"n_y": True, "n_z": 4},
+                {"n_y": 4, "n_z": 4, "spacing_over_lambda": float("nan")},
+                {"n_y": 4, "n_z": 4, "spacing_over_lambda": float("inf")},
+                {"n_y": 4, "n_z": 4, "spacing_over_lambda": 0.0}):
+        with pytest.raises(InvalidArgumentError):
+            UpaConfig(**bad)
+    assert UpaConfig(np.int64(3), 2, 0.25).n == 6

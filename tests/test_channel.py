@@ -160,3 +160,12 @@ def test_rcs_and_upa_count_validation():
     with pytest.raises(InvalidArgumentError):
         SceneGeometry(bs=Position3(0, 0, 0), irs=[Position3(1, 0, 0)], targets=[Position3(2, 0, 0)],
                       bs_upa=UpaConfig(2, 2), irs_upa=[UpaConfig(2, 2)], rcs_dbsm=[1.0, 2.0])
+
+
+def test_scene_rejects_non_finite_carrier_and_rcs():
+    sites = dict(bs=Position3(0, 0, 0), irs=[Position3(1, 0, 0)], targets=[Position3(2, 0, 0)],
+                 bs_upa=UpaConfig(2, 2), irs_upa=[UpaConfig(2, 2)])
+    for bad in ({"carrier_freq_hz": float("nan")}, {"carrier_freq_hz": float("inf")},
+                {"rcs_dbsm": [float("nan")]}, {"rcs_dbsm": [float("inf")]}):
+        with pytest.raises(InvalidArgumentError):
+            SceneGeometry(**sites, **bad)

@@ -28,10 +28,13 @@ music_refine_levels: 1
 """
 
 
-def write_config(tmp_path):
+def write_config(tmp_path, text=CONFIG):
     path = tmp_path / "cfg.yaml"
-    path.write_text(CONFIG)
+    path.write_text(text)
     return str(path)
+
+
+NOISELESS = CONFIG.replace("noise_dbm: -80.0", "noise_dbm: -.inf")
 
 
 def test_run_subcommand_writes_csv(tmp_path):
@@ -84,6 +87,22 @@ def test_crb_subcommand(tmp_path):
     assert "crb_trace_stage1" in header
     first_cell = out.read_text().splitlines()[1].split(",")[0]
     assert np.isfinite(float(first_cell))
+
+
+def test_crb_subcommand_noiseless_writes_zero_bounds(tmp_path):
+    cfg = write_config(tmp_path, NOISELESS)
+    out = tmp_path / "crb.csv"
+    assert main(["crb", cfg, "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    assert all(float(v) == 0.0 for k, v in zip(header, row) if k != "p_bs_dbm")
+
+
+def test_validate_subcommand_passes_noiseless(tmp_path, capsys):
+    cfg = write_config(tmp_path, NOISELESS)
+    assert main(["validate", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  white-probing information matrix matches its closed form" in out
+    assert "FAIL" not in out
 
 
 def test_validate_subcommand_passes(tmp_path, capsys):

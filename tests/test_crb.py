@@ -40,6 +40,11 @@ def white_cov(n, p):
     return (p / n) * np.eye(n, dtype=complex)
 
 
+def white_probing(n, p, t1):
+    """A codebook W with W W^H / t1 = (p / n) I."""
+    return np.sqrt(p * t1 / n) * np.eye(n, dtype=complex)
+
+
 def random_probing(n, t1, seed):
     r = np.random.default_rng(seed)
     return (r.standard_normal((n, t1)) + 1j * r.standard_normal((n, t1))) / np.sqrt(2)
@@ -53,7 +58,7 @@ def random_codewords(n, count, seed):
 def test_white_probing_fim_is_diagonal():
     g = random_desk_scene(0)
     p, t1, noise = 2.0, 10, 0.3
-    dense = fim_stage1(g, white_cov(g.n_bs, p), t1, noise)
+    dense = fim_stage1(g, white_probing(g.n_bs, p, t1), noise)
     closed = fim_stage1_white(g, p, t1, noise)
     diag = np.diag(dense.matrix)
     for i in range(4):
@@ -76,8 +81,8 @@ def test_white_fim_mu_entry_closed_form():
 def test_fim_scales_linearly_with_power():
     g = random_desk_scene(1)
     t1, noise = 12, 0.5
-    f1 = fim_stage1(g, white_cov(g.n_bs, 1.0), t1, noise)
-    f10 = fim_stage1(g, white_cov(g.n_bs, 10.0), t1, noise)
+    f1 = fim_stage1(g, white_probing(g.n_bs, 1.0, t1), noise)
+    f10 = fim_stage1(g, white_probing(g.n_bs, 10.0, t1), noise)
     assert np.allclose(f10.crb_diag, f1.crb_diag / 10.0, rtol=1e-9)
 
 
@@ -85,7 +90,7 @@ def test_diagonal_fim_trace_is_sum_of_reciprocals():
     g = random_desk_scene(2)
     p, t1, noise = 3.0, 6, 0.2
     closed = fim_stage1_white(g, p, t1, noise)
-    trace = crb_trace_stage1(g, white_cov(g.n_bs, p), t1, noise)
+    trace = crb_trace_stage1(g, white_probing(g.n_bs, p, t1), noise)
     assert trace == pytest.approx(float(np.sum(1.0 / np.diag(closed.matrix))), rel=1e-9)
 
 
@@ -110,9 +115,8 @@ def test_stage1_fim_matches_fd_oracle():
         g = random_desk_scene(seed + 30)
         t1 = 10
         w = random_probing(g.n_bs, t1, seed)
-        cov = w @ w.conj().T / t1
         noise = 0.7
-        closed = fim_stage1(g, cov, t1, noise)
+        closed = fim_stage1(g, w, noise)
         beta = path_gain(PathKind.BTB, g, target_index=0).value
         doa = g.bs_target_doa(0)
         fd = fim_finite_difference_oracle(
@@ -124,7 +128,7 @@ def test_stage1_fim_matches_fd_oracle():
 
 
 def dense_fim_stage1(g, r, t1, noise_var):
-    """The stage-1 FIM from dense N_BS x N_BS trace products: the oracle for the quadratic forms."""
+    """The stage-1 FIM from dense N_BS x N_BS trace products in R: the oracle for the Jacobian form."""
     beta = path_gain(PathKind.BTB, g, target_index=0).value
     doa = g.bs_target_doa(0)
     a = upa_response(doa, g.bs_upa)
@@ -152,10 +156,11 @@ def dense_fim_stage1(g, r, t1, noise_var):
     return f
 
 
-def random_psd(n, seed):
+def random_psd_factor(n, t1, seed):
+    """W with W W^H / t1 = X X^H / n, a random PSD coherence."""
     r = np.random.default_rng(seed)
     x = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
-    return x @ x.conj().T / n
+    return np.sqrt(t1) * x / np.sqrt(n)
 
 
 @pytest.mark.parametrize("coherence", ["dft_t1_below_n", "random_psd"])
@@ -165,11 +170,11 @@ def test_stage1_fim_matches_dense_trace_oracle(single_scene, coherence):
         t1 = 60 if seed == 0 else 5
         if coherence == "dft_t1_below_n":
             w = dft_codebook(g.n_bs, t1, 0.1 * (seed + 1))
-            r = w @ w.conj().T / t1
         else:
-            r = random_psd(g.n_bs, seed)
+            w = random_psd_factor(g.n_bs, t1, seed)
+        r = w @ w.conj().T / t1
         noise = 1e-11 if seed == 0 else 0.4
-        got = fim_stage1(g, r, t1, noise).matrix
+        got = fim_stage1(g, w, noise).matrix
         want = dense_fim_stage1(g, r, t1, noise)
         np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-12)
         # entries carry mixed units, so compare the correlation-normalized matrix
@@ -232,7 +237,7 @@ def test_fd_oracle_second_order_convergence():
     beta = path_gain(PathKind.BTB, g, target_index=0).value
     doa = g.bs_target_doa(0)
     params = np.array([doa.mu, doa.nu, beta.real, beta.imag])
-    closed = fim_stage1(g, w @ w.conj().T / 8, 8, 1.0)
+    closed = fim_stage1(g, w, 1.0)
     mean = stage1_mean_builder(g, w)
     errs = []
     for h in (1e-4, 5e-5):
@@ -309,7 +314,7 @@ def test_every_fim_is_positive_semidefinite():
     for seed in range(6):
         g = random_desk_scene(seed + 80)
         w = random_probing(g.n_bs, 8, seed)
-        f1 = fim_stage1(g, w @ w.conj().T / 8, 8, 0.5)
+        f1 = fim_stage1(g, w, 0.5)
         words = random_codewords(g.n_irs(0), 5, seed)
         f2 = fim_stage2_case1(g, 0, 0, words, 0.5, 1.0)
         f3 = fim_stage2_case2(g, 0, 0, words, 0.5, 1.0)
@@ -320,9 +325,16 @@ def test_every_fim_is_positive_semidefinite():
 
 def test_singular_input_covariance_gives_infinite_trace():
     g = random_desk_scene(90)
-    n = g.n_bs
-    cov = np.zeros((n, n), dtype=complex)  # no probing power at all
-    assert crb_trace_stage1(g, cov, 8, 1.0) == np.inf
+    w = np.zeros((g.n_bs, 8), dtype=complex)  # no probing power at all
+    assert crb_trace_stage1(g, w, 1.0) == np.inf
+
+
+def test_stage1_fim_rejects_a_malformed_codebook():
+    g = random_desk_scene(91)
+    w = random_probing(g.n_bs, 8, 0)
+    for bad in (w[:, 0], w[1:], np.vstack([w, w[:1]])):
+        with pytest.raises(InvalidArgumentError, match="probing codebook"):
+            fim_stage1(g, bad, 1.0)
 
 
 def dense_joint_codewords(plan):

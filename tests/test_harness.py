@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from irsloc import (
     ExperimentConfig,
@@ -276,6 +277,18 @@ def test_config_validation():
         with pytest.raises(InvalidArgumentError):
             tiny_config(**bad)
     tiny_config(noise_dbm=float("-inf"), t1=np.int64(4))
+    no_target = replace(tiny_config().scene, targets=[], rcs_dbsm=[])
+    for bad in ({"base_seed": 1.5}, {"base_seed": True}, {"stage2_mode": "bogus"},
+                {"joint_scan": "no"}, {"joint_scan": 1}, {"scene": no_target}):
+        with pytest.raises(InvalidArgumentError):
+            tiny_config(**bad)
+    tiny_config(base_seed=np.int64(-3), joint_scan=True, stage2_mode="case2")
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "single_target.yaml"
+    raw = yaml.safe_load(shipped.read_text())
+    with pytest.raises(InvalidArgumentError, match=r"config keys \['trails'\]"):
+        ExperimentConfig.from_dict({**raw, "trails": 3})
+    with pytest.raises(InvalidArgumentError, match=r"scene keys \['carrier'\]"):
+        ExperimentConfig.from_dict({**raw, "scene": {**raw["scene"], "carrier": 1e9}})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

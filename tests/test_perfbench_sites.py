@@ -32,4 +32,5 @@ def test_traced_bounds_call_counts_the_factored_codewords(sweeps):
         bounds = harness.attach_crb(cfg, max(cfg.p_bs_dbm_sweep))
     assert bounds == harness.attach_crb(cfg, max(cfg.p_bs_dbm_sweep))
     assert tracer.counts["crb.codewords"] == cfg.t2_y * cfg.t2_z == 3600
-    assert {s.name for s in tracer.spans} >= {"harness.bounds", "stage2.codewords", "crb.stage2"}
+    assert {s.name for s in tracer.spans} >= {"harness.bounds", "stage2.codewords",
+                                              "crb.stage1", "crb.stage2"}
