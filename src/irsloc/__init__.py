@@ -74,6 +74,7 @@ from .stage1 import (
     music_spectrum,
     sample_covariance,
     signal_noise_subspaces,
+    stage1_echo,
     synthesize_stage1,
 )
 from .stage2 import (
@@ -88,6 +89,7 @@ from .stage2 import (
     composite_angle,
     matched_theta,
     scan_estimate,
+    stage2_model,
     synthesize_stage2,
 )
 

@@ -35,9 +35,11 @@ class UpaConfig:
                 raise InvalidArgumentError(f"UPA element count {count!r} must be an integer")
         if self.n_y < 1 or self.n_z < 1:
             raise InvalidArgumentError(f"UPA needs at least one element per axis, got {self.n_y}x{self.n_z}")
-        if not (np.isfinite(self.spacing_over_lambda) and self.spacing_over_lambda > 0):
+        spacing = self.spacing_over_lambda
+        if not (isinstance(spacing, numbers.Real) and not isinstance(spacing, bool)
+                and np.isfinite(spacing) and spacing > 0):
             raise InvalidArgumentError(
-                f"element spacing {self.spacing_over_lambda} must be finite and positive")
+                f"element spacing {spacing!r} must be finite and positive")
 
     @property
     def n(self) -> int:

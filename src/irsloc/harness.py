@@ -14,6 +14,7 @@ import itertools
 import numbers
 import sys
 import time
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -27,7 +28,7 @@ from .crb import fim_stage1, fim_stage2_case1, fim_stage2_case2
 from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
-from .stage1 import music_estimate, sample_covariance, synthesize_stage1
+from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
     KroneckerCodewords,
@@ -37,6 +38,7 @@ from .stage2 import (
     joint_codewords,
     scan_estimate,
     sequential_codewords,
+    stage2_model,
     synthesize_stage2,
 )
 
@@ -47,6 +49,49 @@ def _reject_unknown_keys(raw: dict, schema, where: str) -> None:
     unknown = sorted(str(k) for k in set(raw) - {f.name for f in fields(schema)})
     if unknown:
         raise InvalidArgumentError(f"unknown {where} keys {unknown}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers(value, where: str) -> list:
+    if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
+        raise InvalidArgumentError(f"{where} {value!r} must be a list of numbers")
+    return list(value)
+
+
+def _mapping(value, where: str, schema) -> dict:
+    """A copy of value, which must be a mapping with no key outside the schema's fields."""
+    if not isinstance(value, Mapping):
+        raise InvalidArgumentError(f"{where} {value!r} must be a mapping of keys")
+    raw = dict(value)
+    _reject_unknown_keys(raw, schema, where)
+    return raw
+
+
+def _required(raw: dict, keys: Sequence[str], where: str) -> None:
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise InvalidArgumentError(f"{where} lacks keys {missing}")
+
+
+def _position(value, where: str) -> Position3:
+    if len(_numbers(value, where)) != 3:
+        raise InvalidArgumentError(f"{where} {value!r} must be three coordinates [x, y, z]")
+    return Position3(*value)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidArgumentError(f"{where} {value!r} must be a list")
+    return list(value)
+
+
+def _upa(value, where: str) -> UpaConfig:
+    raw = _mapping(value, where, UpaConfig)
+    _required(raw, ("n_y", "n_z"), where)
+    return UpaConfig(**raw)
 
 
 @dataclass
@@ -74,6 +119,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"joint_scan {self.joint_scan!r} must be true or false")
         if self.trials < 1:
             raise InvalidArgumentError("need at least one trial")
+        _numbers(self.p_bs_dbm_sweep, "p_bs_dbm_sweep")
+        for name in ("noise_dbm", "music_grid"):
+            if not _is_number(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} {getattr(self, name)!r} must be a number")
         if not self.p_bs_dbm_sweep:
             raise InvalidArgumentError("power sweep must be non-empty")
         if not np.all(np.isfinite(self.p_bs_dbm_sweep)):
@@ -110,18 +159,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        _reject_unknown_keys(raw, cls, "config")
-        scene_raw = dict(raw.pop("scene"))
-        _reject_unknown_keys(scene_raw, SceneGeometry, "scene")
+        """A config from a parsed document; malformed fields raise InvalidArgumentError naming them."""
+        raw = _mapping(raw, "config", cls)
+        _required(raw, ("scene",), "config")
+        scene_raw = _mapping(raw.pop("scene"), "scene", SceneGeometry)
+        _required(scene_raw, ("bs", "irs", "targets", "bs_upa", "irs_upa"), "scene")
+        carrier = scene_raw.get("carrier_freq_hz", 750e6)
+        try:
+            carrier = float(carrier)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"scene.carrier_freq_hz {carrier!r} must be a number") from None
         scene = SceneGeometry(
-            bs=Position3(*scene_raw["bs"]),
-            irs=[Position3(*p) for p in scene_raw["irs"]],
-            targets=[Position3(*p) for p in scene_raw["targets"]],
-            bs_upa=UpaConfig(**scene_raw["bs_upa"]),
-            irs_upa=[UpaConfig(**u) for u in scene_raw["irs_upa"]],
-            carrier_freq_hz=float(scene_raw.get("carrier_freq_hz", 750e6)),
-            rcs_dbsm=list(scene_raw.get("rcs_dbsm", [])),
+            bs=_position(scene_raw["bs"], "scene.bs"),
+            irs=[_position(p, f"scene.irs[{i}]")
+                 for i, p in enumerate(_list(scene_raw["irs"], "scene.irs"))],
+            targets=[_position(p, f"scene.targets[{i}]")
+                     for i, p in enumerate(_list(scene_raw["targets"], "scene.targets"))],
+            bs_upa=_upa(scene_raw["bs_upa"], "scene.bs_upa"),
+            irs_upa=[_upa(u, f"scene.irs_upa[{i}]")
+                     for i, u in enumerate(_list(scene_raw["irs_upa"], "scene.irs_upa"))],
+            carrier_freq_hz=carrier,
+            rcs_dbsm=_numbers(scene_raw.get("rcs_dbsm", []), "scene.rcs_dbsm"),
         )
         return cls(scene=scene, **raw)
 
@@ -203,13 +262,23 @@ def _scene_truth(scene: SceneGeometry):
 
 @dataclass(frozen=True)
 class PowerPoint:
-    """What the trials of one power point share: the probing codebook, a scan plan per surface.
+    """What the trials of one power point share, built once so that a trial only draws and estimates.
 
-    The arrays are read-only, since one value serves every trial of the point.
+    The probing codebook and the scan plans depend on the arrays and sample
+    counts alone; the rest is the scene's: the noiseless stage-1 snapshots,
+    each surface's noiseless scan samples over its whole beam grid, the true
+    angles and positions, and the regime.  The arrays are read-only, since
+    one value serves every trial of the point.
     """
 
     probing: np.ndarray
     plans: tuple[IrsScanPlan, ...]
+    echo: np.ndarray                 # (N_BS, T1), stage1_echo
+    models: tuple[np.ndarray, ...]   # (t2_y, t2_z) per surface, stage2_model
+    true_bs_doas: np.ndarray         # (K, 2)
+    true_irs_doas: np.ndarray        # (M, K, 2)
+    true_positions: np.ndarray       # (K, 3)
+    regime: str
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -217,8 +286,9 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
-    """Build the per-power-point invariants once, for every trial and bound at p_bs_dbm."""
+def _codebooks(config: ExperimentConfig,
+               p_bs_dbm: float) -> tuple[np.ndarray, tuple[IrsScanPlan, ...]]:
+    """The probing codebook and one scan plan per surface, read-only."""
     probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_bs_dbm))
     # A plan depends on the surface's array alone, so surfaces of one shape share it.
     by_array = {u: build_scan_plan(u, config.t2_y, config.t2_z)
@@ -226,23 +296,49 @@ def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
     _read_only(probing)
     for plan in by_array.values():
         _read_only(plan.mu_grid, plan.nu_grid, plan.codebook_y, plan.codebook_z)
-    return PowerPoint(probing=probing, plans=tuple(by_array[u] for u in config.scene.irs_upa))
+    return probing, tuple(by_array[u] for u in config.scene.irs_upa)
+
+
+def power_point(config: ExperimentConfig, p_bs_dbm: float,
+                codebooks: tuple[np.ndarray, tuple[IrsScanPlan, ...]] | None = None) -> PowerPoint:
+    """Build the per-power-point invariants once, for every trial at p_bs_dbm.
+
+    codebooks, when given, is the (probing, plans) pair of another config
+    with the same arrays, sample counts and power, shared by scenes that
+    differ in their targets only.  Raises IrslocError when the scene itself
+    is degenerate, e.g. a target on a surface.
+    """
+    scene = config.scene
+    probing, plans = _codebooks(config, p_bs_dbm) if codebooks is None else codebooks
+    true_bs, true_irs, true_pos = _scene_truth(scene)
+    regime = classify_regime(scene, 0, 0).regime.value
+    echo = stage1_echo(scene, probing)
+    p_watts = dbm_to_watts(p_bs_dbm)
+    models = tuple(stage2_model(scene, i, plan, config.stage2_mode, p_watts)
+                   for i, plan in enumerate(plans))
+    _read_only(echo, *models, true_bs, true_irs, true_pos)
+    return PowerPoint(probing=probing, plans=plans, echo=echo, models=models,
+                      true_bs_doas=true_bs, true_irs_doas=true_irs, true_positions=true_pos,
+                      regime=regime)
 
 
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
               trial_index: int = 0, point: PowerPoint | None = None) -> TrialRecord:
     """One full pipeline pass at one power point, deterministic under the seed.
 
-    point carries the codebook and scan plans shared by the power point's
-    trials; a trial run alone builds its own.
+    point carries the invariants shared by the power point's trials, so the
+    trial only draws noise and estimates; a trial run alone builds its own.
+    Estimation failures are recorded in the returned record; a degenerate
+    scene raises IrslocError from the point's construction.
     """
+    if point is None:
+        point = power_point(config, p_bs_dbm)
     scene = config.scene
     k = config.n_targets
     m = len(scene.irs)
     p_watts = dbm_to_watts(p_bs_dbm)
     noise_var = config.noise_var
-    true_bs, true_irs, true_pos = _scene_truth(scene)
-    regime = classify_regime(scene, 0, 0).regime.value
+    true_bs, true_irs, true_pos = point.true_bs_doas, point.true_irs_doas, point.true_positions
     start = time.perf_counter()
 
     children = np.random.SeedSequence(seed).spawn(1 + m)
@@ -253,12 +349,11 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         true_bs_doas=true_bs, est_bs_doas=None,
         true_irs_doas=true_irs, est_irs_doas=None,
         true_positions=true_pos, est_positions=None,
-        regime=regime, wall_time_s=0.0,
+        regime=point.regime, wall_time_s=0.0,
     )
     try:
-        if point is None:
-            point = power_point(config, p_bs_dbm)
-        block = synthesize_stage1(scene, point.probing, noise_var, stage_seeds[0])
+        block = synthesize_stage1(scene, point.probing, noise_var, stage_seeds[0],
+                                  echo=point.echo)
         music = music_estimate(block.samples, scene.bs_upa, k, config.music_grid,
                                config.music_refine_levels)
         est_bs = music.angles
@@ -268,7 +363,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         for i, plan in enumerate(point.plans):
             obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
                                     mode=config.stage2_mode, p_bs_watts=p_watts,
-                                    joint=config.joint_scan)
+                                    joint=config.joint_scan, model=point.models[i])
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
@@ -294,7 +389,8 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
     The stage-2 bound takes the first surface's scan codewords as Kronecker
-    factors.  point, when given, is the power point's shared codebook and plans.
+    factors.  point, when given, is the power point's shared codebook and
+    plans; without it only those are built, never a trial's echo or models.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
@@ -302,10 +398,9 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    if point is None:
-        point = power_point(config, p_bs_dbm)
-    s1 = fim_stage1(scene, point.probing, noise_var)
-    words = _scan_plan_codewords(config, point.plans[0])
+    probing, plans = _codebooks(config, p_bs_dbm) if point is None else (point.probing, point.plans)
+    s1 = fim_stage1(scene, probing, noise_var)
+    words = _scan_plan_codewords(config, plans[0])
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"
@@ -396,20 +491,21 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
     if config.n_targets != 1:
         raise InvalidArgumentError("area sweep is a single-target experiment")
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
-    point = power_point(config, p_dbm)  # the cells move the target only
+    codebooks = _codebooks(config, p_dbm)  # the cells move the target only
     rows = []
     cell = 0
     for x in x_values:
         for y in y_values:
             scene = replace(config.scene, targets=[Position3(float(x), float(y), target_z)])
             cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
-            records, degenerate = [], 0
-            for t in range(config.trials):
-                try:
-                    records.append(run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t,
-                                             point))
-                except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
-                    degenerate += 1
+            try:
+                point = power_point(cfg, p_dbm, codebooks)
+            except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
+                records, degenerate = [], config.trials
+            else:
+                records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t, point)
+                           for t in range(config.trials)]
+                degenerate = 0
             row = {"x": float(x), "y": float(y)}
             row.update(aggregate_trials(records))
             row["trials"] += degenerate

@@ -10,11 +10,13 @@ algebraically identical and lets the Kronecker structure of the UPA response
 carry the grid search.  The search samples the grid at quarter-beamwidth
 strides and evaluates the full resolution only where a peak can be: around
 the strongest coarse maxima and the coarse nodes nearly as strong as the
-weakest pick.
+weakest pick.  Grid rows come from read-only steering tables built once per
+grid resolution and array size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +54,11 @@ class MusicEstimate:
     grid_resolution: float
 
 
-def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
-                      noise_var: float, seed: int) -> SnapshotBlock:
-    """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
+def stage1_echo(geometry: SceneGeometry, probing: np.ndarray) -> np.ndarray:
+    """Noiseless snapshots (sum_k H_BTB,k) W, (N_BS, T1).
 
     Each H_BTB,k = beta_k a_k a_k^T is rank 1, so its term is built as
-    beta_k a_k (a_k^T W) without the N_BS x N_BS matrix.  Per-entry noise
-    variance is noise_var (real/imag each noise_var/2); deterministic under
-    the seed.
+    beta_k a_k (a_k^T W) without the N_BS x N_BS matrix.
     """
     probing = np.asarray(probing)
     n_bs = geometry.n_bs
@@ -70,6 +69,20 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
         beta = path_gain(PathKind.BTB, geometry, target_index=k).value
         a = upa_response(geometry.bs_target_doa(k), geometry.bs_upa)
         y += np.outer(beta * a, a @ probing)
+    return y
+
+
+def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
+                      noise_var: float, seed: int, *,
+                      echo: np.ndarray | None = None) -> SnapshotBlock:
+    """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
+
+    echo is stage1_echo(geometry, probing), built here unless the caller
+    passes the one it keeps for many draws; it is never written.  Per-entry
+    noise variance is noise_var (real/imag each noise_var/2); deterministic
+    under the seed.
+    """
+    y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(noise_var / 2.0)
@@ -139,14 +152,24 @@ def _projection_deficit(u_s: np.ndarray, cfg: UpaConfig,
     return _deficit(u_s, cfg, steering_matrix(mu_axis, cfg.n_y), steering_matrix(nu_axis, cfg.n_z))
 
 
-def _steering_rows(phis: np.ndarray, n: int) -> np.ndarray:
-    """steering_matrix over an array of directions of any shape: (*phis.shape, n)."""
-    return steering_matrix(phis.ravel(), n).reshape(*phis.shape, n)
-
-
 def _axis(resolution: float) -> np.ndarray:
     steps = int(round(2.0 / resolution))
     return np.linspace(-1.0, 1.0, steps + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _steering_table(grid_resolution: float, n: int) -> np.ndarray:
+    """Read-only steering rows of an n-element line array over _axis(grid_resolution).
+
+    Every search at one resolution reads its grid rows from this one table.
+    """
+    table = steering_matrix(_axis(grid_resolution), n)
+    table.setflags(write=False)
+    return table
+
+
+def _tables(cfg: UpaConfig, grid_resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    return _steering_table(grid_resolution, cfg.n_y), _steering_table(grid_resolution, cfg.n_z)
 
 
 def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
@@ -159,37 +182,37 @@ def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
     (mu_axis[i], nu_axis[j]).
     """
     u_s = _signal_subspace(cov, k)
-    mu_axis = _axis(grid_resolution)
-    nu_axis = _axis(grid_resolution)
-    return mu_axis, nu_axis, 1.0 / _projection_deficit(u_s, cfg, mu_axis, nu_axis)
+    return (_axis(grid_resolution), _axis(grid_resolution),
+            1.0 / _deficit(u_s, cfg, *_tables(cfg, grid_resolution)))
 
 
-def _zoom(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, centers: np.ndarray,
-          reach: int) -> tuple[np.ndarray, np.ndarray]:
+def _zoom(u_s: np.ndarray, cfg: UpaConfig, table_y: np.ndarray, table_z: np.ndarray,
+          centers: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-resolution local maxima within `reach` nodes of each (i, j) center: (nodes, values).
 
-    A node counts only when all eight of its neighbours were evaluated, so
-    every node returned is a local maximum of the dense spectrum too.
+    table_y and table_z hold the steering rows of the axis nodes.  A node
+    counts only when all eight of its neighbours were evaluated, so every
+    node returned is a local maximum of the dense spectrum too.
     """
+    n_axis = table_y.shape[0]
     size = 2 * reach + 3  # reach <= 1 / (2 grid_resolution) keeps it inside the axis
-    starts = np.clip(centers - reach - 1, 0, axis.size - size)  # (windows, 2)
+    starts = np.clip(centers - reach - 1, 0, n_axis - size)  # (windows, 2)
     rows = starts[:, 0, None] + np.arange(size)
     cols = starts[:, 1, None] + np.arange(size)
-    spectrum = 1.0 / _deficit(u_s, cfg, _steering_rows(axis[rows], cfg.n_y),
-                              _steering_rows(axis[cols], cfg.n_z))
+    spectrum = 1.0 / _deficit(u_s, cfg, table_y[rows], table_z[cols])
     mask = local_maxima_2d(spectrum)
     # A window edge inside the grid has unevaluated neighbours beyond it.
     mask[starts[:, 0] > 0, 0, :] = False
-    mask[starts[:, 0] + size < axis.size, -1, :] = False
+    mask[starts[:, 0] + size < n_axis, -1, :] = False
     mask[starts[:, 1] > 0, :, 0] = False
-    mask[starts[:, 1] + size < axis.size, :, -1] = False
+    mask[starts[:, 1] + size < n_axis, :, -1] = False
     w, r, c = np.nonzero(mask)
     return np.stack([rows[w, r], cols[w, c]], axis=1), spectrum[w, r, c]
 
 
-def _search_grid(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, grid_resolution: float,
+def _search_grid(u_s: np.ndarray, cfg: UpaConfig, grid_resolution: float,
                  k: int) -> list[tuple[int, int, float]]:
-    """The (i, j, value) nodes that top_peaks_2d picks from the dense spectrum on axis x axis.
+    """The (i, j, value) nodes that top_peaks_2d picks from the dense spectrum on _axis x _axis.
 
     The spectrum has no feature narrower than a beamwidth (2/n per axis), so
     it is first sampled every `stride` nodes, at most a quarter beamwidth
@@ -206,15 +229,18 @@ def _search_grid(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, grid_resolut
          finds maxima without a coarse maximum of their own, such as a weak
          one on the flank of a stronger lobe.
     Strides below MIN_COARSE_STRIDE, and searches that find fewer than k
-    peaks, use the dense grid instead.
+    peaks, use the dense grid instead.  Every grid row is read from the
+    resolution's steering tables.
     """
+    table_y, table_z = _tables(cfg, grid_resolution)
+    n_axis = table_y.shape[0]
     stride = int(1.0 / (2 * max(cfg.n_y, cfg.n_z) * grid_resolution))
     if stride >= MIN_COARSE_STRIDE:
-        coarse = np.unique(np.append(np.arange(0, axis.size, stride), axis.size - 1))
-        coarse_spectrum = 1.0 / _projection_deficit(u_s, cfg, axis[coarse], axis[coarse])
+        coarse = np.unique(np.append(np.arange(0, n_axis, stride), n_axis - 1))
+        coarse_spectrum = 1.0 / _deficit(u_s, cfg, table_y[coarse], table_z[coarse])
         zoomed = np.zeros(coarse_spectrum.shape, dtype=bool)
         zoomed[tuple(np.array(top_peaks_2d(coarse_spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
-        nodes, values = _zoom(u_s, cfg, axis, coarse[np.argwhere(zoomed)], stride)
+        nodes, values = _zoom(u_s, cfg, table_y, table_z, coarse[np.argwhere(zoomed)], stride)
         while True:
             nodes, first = np.unique(nodes, axis=0, return_index=True)  # zooms may overlap
             values = values[first]
@@ -227,10 +253,11 @@ def _search_grid(u_s: np.ndarray, cfg: UpaConfig, axis: np.ndarray, grid_resolut
             if not more.any():
                 return picked
             zoomed |= more
-            new_nodes, new_values = _zoom(u_s, cfg, axis, coarse[np.argwhere(more)], (stride + 1) // 2)
+            new_nodes, new_values = _zoom(u_s, cfg, table_y, table_z, coarse[np.argwhere(more)],
+                                          (stride + 1) // 2)
             nodes = np.concatenate([nodes, new_nodes])
             values = np.concatenate([values, new_values])
-    spectrum = 1.0 / _projection_deficit(u_s, cfg, axis, axis)
+    spectrum = 1.0 / _deficit(u_s, cfg, table_y, table_z)
     return [(i, j, float(spectrum[i, j]))
             for i, j in top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)]
 
@@ -270,7 +297,7 @@ def music_estimate(cov: np.ndarray, cfg: UpaConfig, k: int,
     """
     u_s = _signal_subspace(cov, k)
     axis = _axis(grid_resolution)
-    peaks = _search_grid(u_s, cfg, axis, grid_resolution, k)
+    peaks = _search_grid(u_s, cfg, grid_resolution, k)
     if len(peaks) < k:
         raise UnderResolvedError(f"found {len(peaks)} spectrum peaks, need {k}", found=len(peaks))
 

@@ -193,8 +193,9 @@ def beam_gains(cfg: UpaConfig, comp: SpatialAnglePair, codebook_y: np.ndarray,
             steering_vector(comp.nu, cfg.n_z) @ codebook_z)
 
 
-def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
-    """Noiseless matched-filter samples at beam index pairs (y_idx[i], z_idx[i]).
+def stage2_model(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
+                 mode: Stage2Mode, p_bs_watts: float) -> np.ndarray:
+    """Noiseless matched-filter samples at every beam pair (y, z) of the plan: (t2_y, t2_z).
 
     Every route is rank 1 and every codeword a Kronecker product, so the
     filtered echo of target k is alpha q^2 (double bounce, case 1) plus
@@ -203,6 +204,7 @@ def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
     each approximation keeps one.
     """
     cfg = geometry.irs_upa[irs_index]
+    y_idx, z_idx = _joint_indices(plan)
     out = np.zeros(len(y_idx), dtype=complex)
     for k in range(len(geometry.targets)):
         gy, gz = beam_gains(cfg, composite_angle(geometry, irs_index, k),
@@ -213,13 +215,14 @@ def _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx):
         if mode is not Stage2Mode.CASE1_APPROX:
             alpha_t, b = case2_amplitude(geometry, irs_index, k, p_bs_watts)
             out += alpha_t * b * gy[y_idx] * gz[z_idx]
-    return out
+    return out.reshape(plan.t2_y, plan.t2_z)
 
 
 def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
                       noise_var: float, seed: int,
                       mode: Stage2Mode = Stage2Mode.CASE1_APPROX,
-                      p_bs_watts: float = 1.0, joint: bool = False) -> ScanObservation:
+                      p_bs_watts: float = 1.0, joint: bool = False, *,
+                      model: np.ndarray | None = None) -> ScanObservation:
     """Matched-filter samples for a scan, sequential (t2_y + t2_z) or joint (t2_y * t2_z).
 
     The BS beam is sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
@@ -230,14 +233,18 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all
-    imaginary parts, so the modes differ only in their signal model.
+    imaginary parts, so the modes differ only in their signal model.  model
+    is stage2_model(geometry, irs_index, plan, mode, p_bs_watts), built here
+    unless the caller passes the one it keeps for many draws; it is never
+    written.
     """
+    if model is None:
+        model = stage2_model(geometry, irs_index, plan, mode, p_bs_watts)
     rng = np.random.default_rng(seed)
-    n_bs = geometry.n_bs
-    eff_var = n_bs * noise_var
+    eff_var = geometry.n_bs * noise_var
 
     def noisy(y_idx, z_idx):
-        vals = _model_values(geometry, irs_index, plan, mode, p_bs_watts, y_idx, z_idx)
+        vals = model[y_idx, z_idx]
         if noise_var <= 0:
             return vals
         return vals + np.sqrt(eff_var / 2.0) * (

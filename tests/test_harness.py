@@ -1,7 +1,9 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import yaml
 from irsloc import (
     ExperimentConfig,
     InvalidArgumentError,
+    IrslocError,
     Position3,
     SceneGeometry,
     UpaConfig,
@@ -22,6 +25,7 @@ from irsloc import (
     run_trial,
     trial_seed,
 )
+from irsloc import harness
 from irsloc.harness import (
     _align,
     aggregate_trials,
@@ -32,6 +36,7 @@ from irsloc.harness import (
     run_t2_sweep,
 )
 from irsloc.localization import DoAPairObservation, construct_location
+from irsloc.stage1 import _steering_table
 from irsloc.stage2 import build_scan_plan
 
 
@@ -73,19 +78,48 @@ def test_trial_replays_bit_identically():
     assert np.array_equal(a.est_bs_doas, b.est_bs_doas)
 
 
+def _assert_same_record(a, b):
+    for f in fields(a):
+        if f.name != "wall_time_s":
+            np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
 def test_shared_power_point_matches_a_trial_run_alone():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    shipped = [ExperimentConfig.from_yaml(str(configs / name))
+               for name in ("single_target.yaml", "multi_target.yaml")]
+    for base, mode, joint in itertools.product(shipped, ("full", "case1", "case2"), (True, False)):
+        cfg = replace(base, stage2_mode=mode, joint_scan=joint)
+        point = power_point(cfg, 40.0)
+        assert all(plan is point.plans[0] for plan in point.plans)  # one shape, one plan
+        seed = trial_seed(cfg.base_seed, 0, 0)
+        alone, shared = run_trial(cfg, 40.0, seed, 0), run_trial(cfg, 40.0, seed, 0, point)
+        _assert_same_record(alone, shared)
+        if mode == base.stage2_mode.value and joint == base.joint_scan:
+            assert not shared.failed
+        cached = [point.probing, point.echo, *point.models, *(
+            a for plan in point.plans for a in (plan.mu_grid, plan.nu_grid,
+                                                plan.codebook_y, plan.codebook_z))]
+        cached += [_steering_table(cfg.music_grid, n) for n in (cfg.scene.bs_upa.n_y,
+                                                                 cfg.scene.bs_upa.n_z)]
+        for name in ("true_bs_doas", "true_irs_doas", "true_positions"):
+            assert getattr(shared, name) is getattr(point, name)
+            cached.append(getattr(shared, name))
+        assert not any(a.flags.writeable for a in cached)
+        assert attach_crb(cfg, 40.0) == attach_crb(cfg, 40.0, point)
+
+
+def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
     cfg = ExperimentConfig.from_yaml(str(Path(__file__).resolve().parents[1]
                                          / "configs" / "multi_target.yaml"))
-    point = power_point(cfg, 40.0)
-    assert point.plans[0] is point.plans[2]  # surfaces of one shape share their plan
-    for a in (point.probing, point.plans[0].codebook_y, point.plans[0].codebook_z):
-        assert not a.flags.writeable
-    seed = trial_seed(cfg.base_seed, 0, 0)
-    alone, shared = run_trial(cfg, 40.0, seed, 0), run_trial(cfg, 40.0, seed, 0, point)
-    assert not alone.failed and not shared.failed
-    assert np.array_equal(alone.est_positions, shared.est_positions)
-    assert np.array_equal(alone.est_irs_doas, shared.est_irs_doas)
-    assert attach_crb(cfg, 40.0) == attach_crb(cfg, 40.0, point)
+    expected = attach_crb(cfg, 40.0, power_point(cfg, 40.0))
+
+    def trial_only(*args, **kwargs):
+        raise AssertionError("the bounds path built a trial invariant")
+
+    for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
+        monkeypatch.setattr(harness, name, trial_only)
+    assert attach_crb(cfg, 40.0) == expected
 
 
 def test_run_reruns_byte_identical_csv(tmp_path):
@@ -199,17 +233,37 @@ def test_t2_sweep_has_t2_column():
     assert all("rmse_mu_i2t" in r for r in rows)
 
 
+def _cells_run_alone(config, x_values, y_values, p_dbm, target_z=0.0):
+    """Each area-sweep cell's row from run_trial on that cell's config alone; None if degenerate."""
+    rows = []
+    for cell, (x, y) in enumerate(itertools.product(x_values, y_values)):
+        scene = replace(config.scene, targets=[Position3(x, y, target_z)])
+        cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
+        try:
+            records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t)
+                       for t in range(config.trials)]
+        except IrslocError:
+            rows.append(None)
+            continue
+        rows.append({"x": x, "y": y, **aggregate_trials(records)})
+    return rows
+
+
 def test_area_sweep_grid_rows():
     cfg = tiny_config(trials=1)
     rows = run_area_sweep(cfg, x_values=[-15.0, -10.0], y_values=[4.0, 8.0], p_bs_dbm=30.0)
     assert len(rows) == 4
     assert {"x", "y", "rmse_q", "trials_failed"} <= set(rows[0])
+    np.testing.assert_equal(rows, _cells_run_alone(cfg, [-15.0, -10.0], [4.0, 8.0], 30.0))
     # a target on the surface itself fails every trial; none may vanish from the count
     on_surface = run_area_sweep(tiny_config(), x_values=[-20.0, -10.0], y_values=[0.0],
                                 p_bs_dbm=30.0, target_z=3.0)
     assert (on_surface[0]["trials"], on_surface[0]["trials_failed"]) == (2, 2)
     assert np.isnan(on_surface[0]["rmse_q"])
     assert on_surface[1]["trials"] == 2
+    alone = _cells_run_alone(tiny_config(), [-20.0, -10.0], [0.0], 30.0, target_z=3.0)
+    assert alone[0] is None
+    np.testing.assert_equal(on_surface[1], alone[1])
 
 
 def test_doa_snapshot_rows():
@@ -289,6 +343,19 @@ def test_config_validation():
         ExperimentConfig.from_dict({**raw, "trails": 3})
     with pytest.raises(InvalidArgumentError, match=r"scene keys \['carrier'\]"):
         ExperimentConfig.from_dict({**raw, "scene": {**raw["scene"], "carrier": 1e9}})
+    scene = raw["scene"]
+    for field_name, bad in (
+            ("scene", {k: v for k, v in raw.items() if k != "scene"}),
+            ("config", [raw]),
+            ("scene.bs", {**raw, "scene": {**scene, "bs": [0.0, 1.0]}}),
+            ("scene.irs", {**raw, "scene": {**scene, "irs": 5}}),
+            ("p_bs_dbm_sweep", {**raw, "p_bs_dbm_sweep": "10"}),
+            ("music_grid", {**raw, "music_grid": "2e-3"}),
+            ("noise_dbm", {**raw, "noise_dbm": "-80"}),
+            ("scene.bs_upa", {**raw, "scene": {**scene, "bs_upa": {**scene["bs_upa"], "n_x": 4}}}),
+            ("scene.irs_upa", {**raw, "scene": {**scene, "irs_upa": [{"n_y": 4, "n": 4}]}})):
+        with pytest.raises(InvalidArgumentError, match=re.escape(field_name)):
+            ExperimentConfig.from_dict(bad)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -34,3 +34,16 @@ def test_traced_bounds_call_counts_the_factored_codewords(sweeps):
     assert tracer.counts["crb.codewords"] == cfg.t2_y * cfg.t2_z == 3600
     assert {s.name for s in tracer.spans} >= {"harness.bounds", "stage2.codewords",
                                               "crb.stage1", "crb.stage2"}
+
+
+def test_traced_trial_records_the_stage_spans(sweeps):
+    from spans import Patches, Tracer
+
+    cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "single_target.yaml"))
+    tracer = Tracer("harness.trial")
+    with Patches(tracer, sweeps.trace_sites()):
+        record = harness.run_trial(cfg, max(cfg.p_bs_dbm_sweep), harness.trial_seed(1, 0, 0))
+    assert not record.failed
+    names = [s.name for s in tracer.spans]
+    assert names[0] == "harness.trial"
+    assert {"stage1.synth", "stage1.search", "stage2.synth"} <= set(names)
