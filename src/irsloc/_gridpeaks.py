@@ -50,21 +50,3 @@ def top_peaks_2d(values: np.ndarray, k: int, suppression_radius: int) -> list[tu
     mask = local_maxima_2d(values)
     return strongest_separated(np.argwhere(mask), values[mask], k, suppression_radius)
 
-
-def top_peaks_1d(values: np.ndarray, k: int, suppression_radius: int) -> list[int]:
-    """1D analogue of top_peaks_2d."""
-    padded = np.full(values.shape[0] + 2, -np.inf)
-    padded[1:-1] = values
-    mask = (padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:])
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    order = np.lexsort((idx, -values[idx]))
-    accepted: list[int] = []
-    for o in order:
-        i = int(idx[o])
-        if all(abs(i - a) > suppression_radius for a in accepted):
-            accepted.append(i)
-            if len(accepted) == k:
-                break
-    return accepted

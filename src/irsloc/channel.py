@@ -78,6 +78,9 @@ class SceneGeometry:
             raise InvalidArgumentError("need one RCS value per target")
         if not np.all(np.isfinite(self.rcs_dbsm)):
             raise InvalidArgumentError(f"RCS values {self.rcs_dbsm} must be finite")
+        for i in range(len(self.irs)):
+            if self.d_b2i(i) < 1e-9:  # the BS-surface hop would have no direction
+                raise InvalidArgumentError(f"reflecting surface irs[{i}] coincides with the BS")
 
     @property
     def wavelength(self) -> float:

@@ -50,7 +50,6 @@ class FimResult:
     parameter_labels: list[str]
     crb_diag: np.ndarray
     determinant: float
-    condition_estimate: float
     singular: bool
 
     def crb(self, label: str) -> float:
@@ -79,13 +78,11 @@ def _finalize(matrix: np.ndarray, labels: Sequence[str]) -> FimResult:
         singular = corr_eigs[0] < SINGULARITY_EIG_RATIO * corr_eigs[-1]
     if singular:
         crb_diag = np.full(m.shape[0], np.inf)
-        cond = np.inf
     else:
         inv_corr = np.linalg.inv(d[:, None] * m * d[None, :])
         crb_diag = d**2 * np.diag(inv_corr)
-        cond = float(corr_eigs[-1] / corr_eigs[0])
     return FimResult(matrix=m, parameter_labels=list(labels), crb_diag=crb_diag,
-                     determinant=det, condition_estimate=cond, singular=singular)
+                     determinant=det, singular=singular)
 
 
 STAGE1_LABELS = ["mu_b2t", "nu_b2t", "re_beta", "im_beta"]

@@ -31,7 +31,6 @@ from .localization import MATCHING_BUDGET, construct_location, match_and_localiz
 from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_stage1
 from .stage2 import (
     IrsScanPlan,
-    KroneckerCodewords,
     Stage2Mode,
     build_scan_plan,
     classify_regime,
@@ -377,10 +376,6 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     return record
 
 
-def _scan_plan_codewords(config: ExperimentConfig, plan: IrsScanPlan) -> KroneckerCodewords:
-    return joint_codewords(plan) if config.joint_scan else sequential_codewords(plan)
-
-
 def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                point: PowerPoint | None = None) -> dict:
     """Bound columns for one power point, straight from the closed forms.
@@ -400,7 +395,7 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
     probing, plans = _codebooks(config, p_bs_dbm) if point is None else (point.probing, point.plans)
     s1 = fim_stage1(scene, probing, noise_var)
-    words = _scan_plan_codewords(config, plans[0])
+    words = joint_codewords(plans[0]) if config.joint_scan else sequential_codewords(plans[0])
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"

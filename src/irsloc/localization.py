@@ -9,7 +9,6 @@ assignment whose reconstructions re-predict the other surface's DoAs best.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -31,11 +30,6 @@ BS_RADICAND_TOL = 1e-9
 MATCHING_BUDGET = 5
 
 
-class RootBranch(enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 @dataclass(frozen=True)
 class DoAPairObservation:
     bs_doa: SpatialAnglePair
@@ -48,7 +42,6 @@ class LocationEstimate:
     position: Position3
     d_b2t: float
     d_i2t: float
-    branch_chosen: RootBranch
     residual: float
 
 
@@ -95,31 +88,27 @@ def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> Loca
     # so the sphere consistency check compares unsigned x gaps; the
     # front-half-space preference survives only as the tie-breaker.
     half_width = np.sqrt(rad_bs)
-    candidates = [(bs.x + half_width, RootBranch.PLUS), (bs.x - half_width, RootBranch.MINUS)]
-    gaps = [abs(abs(x - irs.x) - sphere_radius) for x, _ in candidates]
+    candidates = [bs.x + half_width, bs.x - half_width]
+    gaps = [abs(abs(x - irs.x) - sphere_radius) for x in candidates]
     if abs(gaps[0] - gaps[1]) <= 1e-12 * (1.0 + sphere_radius):
-        front = [c for c in candidates if c[0] >= irs.x - BS_RADICAND_TOL]
-        x_t, branch = front[0] if front else candidates[0]
+        front = [x for x in candidates if x >= irs.x - BS_RADICAND_TOL]
+        x_t = front[0] if front else candidates[0]
         residual = gaps[0]
     else:
         pick = int(np.argmin(gaps))
-        x_t, branch = candidates[pick]
+        x_t = candidates[pick]
         residual = gaps[pick]
     return LocationEstimate(
         position=Position3(float(x_t), float(y_t), float(z_t)),
-        d_b2t=float(d_b2t), d_i2t=float(d_i2t),
-        branch_chosen=branch, residual=float(residual),
+        d_b2t=float(d_b2t), d_i2t=float(d_i2t), residual=float(residual),
     )
 
 
 @dataclass
 class PairAssignment:
-    """One scored assignment candidate for a surface pair (diagnostic record)."""
+    """One scored surface-pair assignment: its residual and the constructions it keeps."""
 
     residual: float
-    perm_a: tuple[int, ...]
-    perm_b: tuple[int, ...]
-    role: int  # irs index whose constructions were kept
     estimates: list[LocationEstimate]
 
 
@@ -172,11 +161,8 @@ def enumerate_pair_assignments(bs_doas, doas_a, doas_b, irs_a: int, irs_b: int,
                 _doa_residual(spatial_doa(geometry.irs[irs_a], ests_b[j].position, spacing_a),
                               doas_a[perm_a[j]])
                 for j in range(k))
-            role, kept = (irs_a, ests_a) if res_a <= res_b else (irs_b, ests_b)
-            results.append(PairAssignment(
-                residual=float(np.sqrt(res_a + res_b)),
-                perm_a=perm_a, perm_b=perm_b, role=role, estimates=kept,
-            ))
+            results.append(PairAssignment(residual=float(np.sqrt(res_a + res_b)),
+                                          estimates=ests_a if res_a <= res_b else ests_b))
     results.sort(key=lambda r: r.residual)
     return results
 
@@ -230,7 +216,6 @@ def match_and_localize(bs_doas: list[SpatialAnglePair],
             position=Position3(*map(float, positions)),
             d_b2t=float(np.linalg.norm(positions - geometry.bs.as_array())),
             d_i2t=template.d_i2t,
-            branch_chosen=template.branch_chosen,
             residual=float(np.mean(residuals)),
         ))
     return merged

@@ -146,12 +146,6 @@ def _deficit(u_s: np.ndarray, cfg: UpaConfig, a_mu: np.ndarray, a_nu: np.ndarray
     return np.maximum(deficit, n * 1e-15)
 
 
-def _projection_deficit(u_s: np.ndarray, cfg: UpaConfig,
-                        mu_axis: np.ndarray, nu_axis: np.ndarray) -> np.ndarray:
-    """||a||^2 - ||U_s^H a||^2 on the (mu, nu) grid; equals a^H U_n U_n^H a."""
-    return _deficit(u_s, cfg, steering_matrix(mu_axis, cfg.n_y), steering_matrix(nu_axis, cfg.n_z))
-
-
 def _axis(resolution: float) -> np.ndarray:
     steps = int(round(2.0 / resolution))
     return np.linspace(-1.0, 1.0, steps + 1)
@@ -271,7 +265,8 @@ def _refine_peak(u_s: np.ndarray, cfg: UpaConfig, mu0: float, nu0: float,
         nu_lo, nu_hi = max(-1.0, nu0 - step), min(1.0, nu0 + step)
         mu_axis = np.linspace(mu_lo, mu_hi, 21)
         nu_axis = np.linspace(nu_lo, nu_hi, 21)
-        deficit = _projection_deficit(u_s, cfg, mu_axis, nu_axis)
+        deficit = _deficit(u_s, cfg, steering_matrix(mu_axis, cfg.n_y),
+                           steering_matrix(nu_axis, cfg.n_z))
         i, j = np.unravel_index(np.argmin(deficit), deficit.shape)
         mu0, nu0 = float(mu_axis[i]), float(nu_axis[j])
         value = 1.0 / float(deficit[i, j])

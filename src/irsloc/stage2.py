@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._gridpeaks import top_peaks_1d, top_peaks_2d
+from ._gridpeaks import top_peaks_2d
 from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, steering_vector, upa_response
 from .channel import (  # channel_b2i/bti/iti: unused, but perfbench traces them by name here
     PathKind,
@@ -89,14 +89,12 @@ class KroneckerCodewords(Sequence):
 
 @dataclass
 class ScanObservation:
-    """Matched-filter outputs of one scan, sequential sweeps or the joint grid."""
+    """Matched-filter outputs of one scan: the joint grid, or else the two sequential sweeps."""
 
-    mode: str                       # "sequential" or "joint"
     noise_var_effective: float      # N_BS * sigma^2
     y_values: np.ndarray | None = None      # (t2_y,) z-beam held at hold_z_index
-    z_values: np.ndarray | None = None      # (t2_z,) y-beam held at best_y_index
+    z_values: np.ndarray | None = None      # (t2_z,) y-beam at the y-sweep peak or hold_y_index
     grid_values: np.ndarray | None = None   # (t2_y, t2_z)
-    best_y_index: int | None = None
 
 
 @dataclass
@@ -180,12 +178,6 @@ def case2_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
     return alpha_t, b
 
 
-def _joint_indices(plan: IrsScanPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Beam index pairs of a joint scan, row-major over (y, z)."""
-    ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
-    return ii.ravel(), jj.ravel()
-
-
 def beam_gains(cfg: UpaConfig, comp: SpatialAnglePair, codebook_y: np.ndarray,
                codebook_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis steering products u^T(comp.mu) w_y and u^T(comp.nu) w_z over each codebook."""
@@ -200,22 +192,22 @@ def stage2_model(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
     Every route is rank 1 and every codeword a Kronecker product, so the
     filtered echo of target k is alpha q^2 (double bounce, case 1) plus
     alpha_tilde b q (the two single bounces, case 2), with q = g_y g_z the
-    separable cascade scalar.  The full echo is exactly the sum of both terms;
-    each approximation keeps one.
+    separable cascade scalar, so each term is an outer product of a y and a
+    z beam-gain vector.  The full echo is exactly the sum of both terms; each
+    approximation keeps one.
     """
     cfg = geometry.irs_upa[irs_index]
-    y_idx, z_idx = _joint_indices(plan)
-    out = np.zeros(len(y_idx), dtype=complex)
+    out = np.zeros((plan.t2_y, plan.t2_z), dtype=complex)
     for k in range(len(geometry.targets)):
         gy, gz = beam_gains(cfg, composite_angle(geometry, irs_index, k),
                             plan.codebook_y, plan.codebook_z)
         if mode is not Stage2Mode.CASE2_APPROX:
             alpha = case1_amplitude(geometry, irs_index, k, p_bs_watts)
-            out += alpha * gy[y_idx] ** 2 * gz[z_idx] ** 2
+            out += np.outer(alpha * gy ** 2, gz ** 2)
         if mode is not Stage2Mode.CASE1_APPROX:
             alpha_t, b = case2_amplitude(geometry, irs_index, k, p_bs_watts)
-            out += alpha_t * b * gy[y_idx] * gz[z_idx]
-    return out.reshape(plan.t2_y, plan.t2_z)
+            out += np.outer(alpha_t * b * gy, gz)
+    return out
 
 
 def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
@@ -223,47 +215,40 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
                       mode: Stage2Mode = Stage2Mode.CASE1_APPROX,
                       p_bs_watts: float = 1.0, joint: bool = False, *,
                       model: np.ndarray | None = None) -> ScanObservation:
-    """Matched-filter samples for a scan, sequential (t2_y + t2_z) or joint (t2_y * t2_z).
+    """Matched-filter samples for a scan: the joint grid (t2_y * t2_z) or two sweeps (t2_y + t2_z).
 
-    The BS beam is sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
-    Sequential sweeps hold the companion axis at the center codeword for the
-    y sweep.  The z sweep then holds the noisy-best y beam when the scene has
-    one target, and the center codeword otherwise, since with several targets
-    the strongest target's beam would suppress everyone else's elevation peak.
+    Every sample is a node of model, the noiseless (t2_y, t2_z) beam grid of
+    stage2_model(geometry, irs_index, plan, mode, p_bs_watts); it is built
+    here unless the caller passes the one it keeps for many draws, and it is
+    never written.  The joint scan reads the whole grid.  The sequential y
+    sweep reads the column at the center z codeword; the z sweep then reads
+    the row of the noisy-best y beam when the scene has one target, and of
+    the center codeword otherwise, since with several targets the strongest
+    target's beam would suppress everyone else's elevation peak.  The BS beam
+    is sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all
-    imaginary parts, so the modes differ only in their signal model.  model
-    is stage2_model(geometry, irs_index, plan, mode, p_bs_watts), built here
-    unless the caller passes the one it keeps for many draws; it is never
-    written.
+    imaginary parts, so the modes differ only in their signal model.
     """
     if model is None:
         model = stage2_model(geometry, irs_index, plan, mode, p_bs_watts)
     rng = np.random.default_rng(seed)
     eff_var = geometry.n_bs * noise_var
 
-    def noisy(y_idx, z_idx):
-        vals = model[y_idx, z_idx]
+    def noisy(vals):  # always a new array, so an observation never aliases model
         if noise_var <= 0:
-            return vals
+            return vals.copy()
         return vals + np.sqrt(eff_var / 2.0) * (
-            rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
+            rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape))
 
     if joint:
-        grid = noisy(*_joint_indices(plan)).reshape(plan.t2_y, plan.t2_z)
-        return ScanObservation(mode="joint", noise_var_effective=eff_var, grid_values=grid)
-
-    y_idx = np.arange(plan.t2_y)
-    y_vals = noisy(y_idx, np.full(plan.t2_y, plan.hold_z_index))
-    if len(geometry.targets) == 1:
-        hold_y = int(np.argmax(np.abs(y_vals) ** 2))
-    else:
-        hold_y = plan.hold_y_index
-    z_idx = np.arange(plan.t2_z)
-    z_vals = noisy(np.full(plan.t2_z, hold_y), z_idx)
-    return ScanObservation(mode="sequential", noise_var_effective=eff_var,
-                           y_values=y_vals, z_values=z_vals, best_y_index=hold_y)
+        return ScanObservation(noise_var_effective=eff_var, grid_values=noisy(model))
+    y_vals = noisy(model[:, plan.hold_z_index])
+    hold_y = (int(np.argmax(np.abs(y_vals) ** 2)) if len(geometry.targets) == 1
+              else plan.hold_y_index)
+    return ScanObservation(noise_var_effective=eff_var, y_values=y_vals,
+                           z_values=noisy(model[hold_y]))
 
 
 def classify_regime(geometry: SceneGeometry, irs_index: int, target_index: int) -> RegimeReport:
@@ -291,18 +276,19 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                   k: int = 1) -> list[SpatialAnglePair]:
     """Map the strongest beams back to surface-to-target DoAs.
 
-    Sequential mode takes the top-k peaks of each sweep and pairs them by
-    rank, strongest y with strongest z and so on down.  By the rearrangement
-    inequality this maximizes the summed power product over all k! pairings;
-    rank order is also the tie rule.  Joint mode takes the top-k 2D peaks.
-    The known arrival angles are subtracted from the composite grid values.
+    One peak picker serves both scans: top_peaks_2d on the joint grid, or
+    on the y sweep as a one-column grid and the z sweep as a one-row grid.
+    The sweeps' top-k peaks pair by rank, strongest y with strongest z and so
+    on down.  By the rearrangement inequality this maximizes the summed power
+    product over all k! pairings; rank order is also the tie rule.  The known
+    arrival angles are subtracted from the composite grid values.
     """
-    if obs.mode == "joint":
+    if obs.grid_values is not None:
         pairs = top_peaks_2d(np.abs(obs.grid_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
     else:
-        y_peaks = top_peaks_1d(np.abs(obs.y_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
-        z_peaks = top_peaks_1d(np.abs(obs.z_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
-        pairs = list(zip(y_peaks, z_peaks))
+        y_peaks = top_peaks_2d(np.abs(obs.y_values[:, None]) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+        z_peaks = top_peaks_2d(np.abs(obs.z_values[None, :]) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+        pairs = [(i, j) for (i, _), (_, j) in zip(y_peaks, z_peaks)]
     if len(pairs) < k:
         raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
     return [SpatialAnglePair(float(plan.mu_grid[i]) - bs_irs_doa.mu,
@@ -322,4 +308,5 @@ def sequential_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
 
 def joint_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
     """Per-sample phase vectors of a joint scan, row-major over (y, z) beams, kept as factors."""
-    return KroneckerCodewords(plan.codebook_y, plan.codebook_z, *_joint_indices(plan))
+    y_idx, z_idx = np.indices((plan.t2_y, plan.t2_z)).reshape(2, -1)
+    return KroneckerCodewords(plan.codebook_y, plan.codebook_z, y_idx, z_idx)

@@ -78,11 +78,12 @@ def test_distance_power_laws():
 
 
 def test_zero_distance_rejected():
-    g = SceneGeometry(bs=Position3(0, 0, 0), irs=[Position3(0, 0, 0)],
-                      targets=[Position3(1, 1, 1)],
-                      bs_upa=UpaConfig(2, 2), irs_upa=[UpaConfig(2, 2)])
+    sites = dict(bs=Position3(0, 0, 0), bs_upa=UpaConfig(2, 2), irs_upa=[UpaConfig(2, 2)])
+    with pytest.raises(InvalidArgumentError, match=r"irs\[0\] coincides with the BS"):
+        SceneGeometry(irs=[Position3(0, 0, 0)], targets=[Position3(1, 1, 1)], **sites)
+    g = SceneGeometry(irs=[Position3(1, 1, 1)], targets=[Position3(1, 1, 1)], **sites)
     with pytest.raises(DegenerateGeometryError):
-        path_gain(PathKind.B2I, g, irs_index=0)
+        path_gain(PathKind.ITI, g, irs_index=0, target_index=0)
 
 
 @pytest.mark.parametrize("builder,kwargs", [

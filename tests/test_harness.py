@@ -356,6 +356,11 @@ def test_config_validation():
             ("scene.irs_upa", {**raw, "scene": {**scene, "irs_upa": [{"n_y": 4, "n": 4}]}})):
         with pytest.raises(InvalidArgumentError, match=re.escape(field_name)):
             ExperimentConfig.from_dict(bad)
+    multi = yaml.safe_load((shipped.parent / "multi_target.yaml").read_text())
+    on_bs = {**multi["scene"], "irs": [multi["scene"]["irs"][0], multi["scene"]["bs"],
+                                       multi["scene"]["irs"][2]]}
+    with pytest.raises(InvalidArgumentError, match=re.escape("irs[1] coincides with the BS")):
+        ExperimentConfig.from_dict({**multi, "scene": on_bs})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -1,5 +1,6 @@
 """The benchmark's traced run patches library names by string; a rename must fail here."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,17 @@ def test_traced_trial_records_the_stage_spans(sweeps):
     names = [s.name for s in tracer.spans]
     assert names[0] == "harness.trial"
     assert {"stage1.synth", "stage1.search", "stage2.synth"} <= set(names)
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "sequential"])
+def test_traced_trial_counts_the_scan_samples(sweeps, joint):
+    # the hook reads the observation's grid_values, y_values and z_values
+    from spans import Patches, Tracer
+
+    cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "single_target.yaml"))
+    cfg = replace(cfg, joint_scan=joint, t2_y=7, t2_z=5)
+    tracer = Tracer("harness.trial")
+    with Patches(tracer, sweeps.trace_sites()):
+        harness.run_trial(cfg, max(cfg.p_bs_dbm_sweep), harness.trial_seed(1, 0, 0))
+    expected = cfg.t2_y * cfg.t2_z if joint else cfg.t2_y + cfg.t2_z
+    assert tracer.counts["stage2.samples"] == expected

@@ -8,7 +8,9 @@ from irsloc import (
     InvalidArgumentError,
     Position3,
     Regime,
+    ScanObservation,
     SceneGeometry,
+    SpatialAnglePair,
     UnderResolvedError,
     UpaConfig,
     build_scan_plan,
@@ -22,7 +24,7 @@ from irsloc import (
     upa_response,
 )
 from irsloc.channel import PathKind, path_gain, stage2_effective_channel
-from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
+from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude, stage2_model
 
 from conftest import random_desk_scene
 
@@ -200,8 +202,8 @@ def test_noise_is_one_scalar_draw_per_sample_in_every_mode(mode, joint):
         y_noise = _scalar_noise(rng, plan.t2_y, eff_var)
         z_noise = _scalar_noise(rng, plan.t2_z, eff_var)
         y_clean = clean[:, plan.hold_z_index]
-        assert obs.best_y_index == int(np.argmax(np.abs(y_clean + y_noise) ** 2))
-        got = np.concatenate([obs.y_values - y_clean, obs.z_values - clean[obs.best_y_index]])
+        hold_y = int(np.argmax(np.abs(obs.y_values) ** 2))  # one target: z holds the y-sweep peak
+        got = np.concatenate([obs.y_values - y_clean, obs.z_values - clean[hold_y]])
         expected = np.concatenate([y_noise, z_noise])
     scale = np.max(np.abs(clean)) + np.max(np.abs(expected))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * scale)
@@ -385,12 +387,38 @@ def test_sequential_multi_target_pairing():
     )
     plan = build_scan_plan(g.irs_upa[0], 41, 41)
     obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0)
-    assert obs.best_y_index == plan.hold_y_index
+    model = stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    np.testing.assert_array_equal(obs.z_values, model[plan.hold_y_index])
     est = scan_estimate(obs, plan, g.bs_irs_aoa(0), 2)
     step = plan.mu_grid[1] - plan.mu_grid[0]
     for k in range(2):
         truth = g.irs_target_doa(0, k)
         assert any(abs(e.mu - truth.mu) <= step and abs(e.nu - truth.nu) <= step for e in est), k
+
+
+def _sweep_estimate(y_power, z_power, k):
+    """scan_estimate on hand-built sweeps of a 7x5-beam plan, as (y beam, z beam) pairs."""
+    plan = build_scan_plan(UpaConfig(4, 4), 7, 5)
+    obs = ScanObservation(noise_var_effective=1.0, y_values=np.sqrt(np.array(y_power, float)),
+                          z_values=np.sqrt(np.array(z_power, float)))
+    est = scan_estimate(obs, plan, SpatialAnglePair(0.0, 0.0), k)
+    mu, nu = list(plan.mu_grid), list(plan.nu_grid)
+    return [(mu.index(e.mu), nu.index(e.nu)) for e in est]
+
+
+def test_sequential_estimate_on_hand_built_sweeps():
+    # equal-power peaks go to the lowest beam index
+    assert _sweep_estimate([0, 1, 0, 0, 1, 0, 0], [2, 0, 0, 0, 2], 1) == [(1, 0)]
+    # a plateau neighbour within SCAN_SUPPRESSION_RADIUS is suppressed
+    assert _sweep_estimate([0, 3, 3, 0, 0, 1, 0], [0, 4, 0, 1, 0], 2) == [(1, 1), (5, 3)]
+    # the strongest y pairs with the strongest z, and so on down
+    assert _sweep_estimate([0, 1, 0, 0, 3, 0, 0], [5, 0, 0, 2, 0], 2) == [(4, 0), (1, 3)]
+    # a sweep with fewer than k peaks cannot resolve k targets
+    for y_power, z_power in (([0, 1, 2, 3, 4, 5, 6], [1, 0, 0, 0, 1]),
+                             ([1, 0, 0, 1, 0, 0, 1], [0, 1, 2, 3, 4])):
+        with pytest.raises(UnderResolvedError) as caught:
+            _sweep_estimate(y_power, z_power, 2)
+        assert caught.value.found == 1
 
 
 def test_scan_under_resolved():
