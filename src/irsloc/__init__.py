@@ -26,7 +26,6 @@ from .channel import (
     dbsm_to_m2,
     path_gain,
     stage2_effective_channel,
-    watts_to_dbm,
 )
 from .crb import (
     FimResult,

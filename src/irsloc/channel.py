@@ -30,10 +30,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * np.log10(watts) + 30.0
-
-
 def dbsm_to_m2(dbsm: float) -> float:
     return 10.0 ** (dbsm / 10.0)
 

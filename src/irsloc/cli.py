@@ -8,9 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrays import SpatialAnglePair, upa_response, upa_response_derivatives
-from .channel import SceneGeometry, dbm_to_watts, stage2_effective_channel
-from .crb import fim_stage1, fim_stage1_white
+from .arrays import SpatialAnglePair, dft_codebook, upa_response, upa_response_derivatives
+from .channel import SceneGeometry, dbm_to_watts
+from .crb import crb_trace_stage1, fim_stage1, fim_stage1_white
 from .harness import (
     ExperimentConfig,
     attach_crb,
@@ -63,9 +63,9 @@ def _cmd_crb(args) -> int:
     for p_dbm in config.p_bs_dbm_sweep:
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(attach_crb(config, p_dbm))
-        if config.noise_var > 0:
-            white = fim_stage1_white(config.scene, dbm_to_watts(p_dbm), config.t1, config.noise_var)
-            row["crb_trace_stage1"] = float(np.sum(white.crb_diag))  # inf when singular
+        if config.noise_var > 0:  # the trace for the codebook a run transmits; inf when singular
+            probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_dbm))
+            row["crb_trace_stage1"] = crb_trace_stage1(config.scene, probing, config.noise_var)
         else:  # noiseless: a zero bound, as attach_crb reports
             row["crb_trace_stage1"] = 0.0
         rows.append(row)
@@ -105,11 +105,8 @@ def _cmd_validate(args) -> int:
            abs(q - scene.n_irs(0)) < 1e-9 * scene.n_irs(0), failures)
 
     report = classify_regime(scene, 0, 0)
-    theta = matched_theta(b_in, b_out)
-    h_eff_term1 = stage2_effective_channel(scene, 0, 0, theta)
-    _check("regime powers are finite and ordered consistently",
-           np.isfinite(report.p1) and np.isfinite(report.p2)
-           and np.all(np.isfinite(h_eff_term1)), failures)
+    _check("regime powers p1 and p2 are finite",
+           np.isfinite(report.p1) and np.isfinite(report.p2), failures)
 
     doa_pair = DoAPairObservation(scene.bs_target_doa(0), scene.irs_target_doa(0, 0), 0)
     est = construct_location(doa_pair, scene)

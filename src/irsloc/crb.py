@@ -5,9 +5,10 @@ the noise covariance never depends on the parameters, so only the mean
 derivatives matter.  A finite-difference oracle over the same rule provides
 an independent check of every closed form.
 
-The stage-1 FIM takes the Jacobian of the echo mean against the probing
-codebook itself, as outer products of the BS response and its derivatives
-with their projections onto the codebook.
+The stage-1 FIM takes the Gram of the echo mean's Jacobian against the
+probing codebook itself: every Jacobian column is a sum of outer products of
+the BS response and its derivatives with rows over the codebook, so the Gram
+needs only the 3x3 Gram of those responses and the rows.
 The stage-2 FIMs need only the per-sample projections w^T q, w^T qdot_mu and
 w^T qdot_nu of the scan codewords onto the surface response; for Kronecker
 codewords these are products of per-axis beam gains, c_y^T u_y times
@@ -95,16 +96,11 @@ def _centered_square_sum(n: int) -> float:
     return float(np.sum((n - 2 * k + 1) ** 2))
 
 
-def _gaussian_fim(jac: np.ndarray, noise_var: float, labels: Sequence[str]) -> FimResult:
-    """2/sigma^2 Re{J^H J} over the columns of the mean's Jacobian J."""
+def _gaussian_fim(gram: np.ndarray, noise_var: float, labels: Sequence[str]) -> FimResult:
+    """2/sigma^2 Re{J^H J} from the Gram J^H J of the mean's Jacobian J."""
     if noise_var <= 0:
         raise InvalidArgumentError("noise variance must be positive")
-    # Re{J^H J} = Re(J)^T Re(J) + Im(J)^T Im(J), one real product over J's
-    # interleaved float view: a conjugated copy of the 24000 x 4 flagship
-    # stage-1 Jacobian made fim_stage1 about 2.5x slower.
-    v = np.ascontiguousarray(jac, dtype=complex).view(float)
-    g = v.T @ v
-    return _finalize((2.0 / noise_var) * (g[0::2, 0::2] + g[1::2, 1::2]), labels)
+    return _finalize((2.0 / noise_var) * gram.real, labels)
 
 
 def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
@@ -113,10 +109,10 @@ def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
 
     The mean is vec(beta a (a^T W)) over the N_BS x T1 probing codebook W, so
     each angle's column is beta (adot (a^T W) + a (adot^T W)) and the gain's
-    columns are [1, j] a (a^T W): sums of outer products of the responses
-    [a, adot_mu, adot_nu] with length-T1 rows, formed as one product of the
-    N_BS x 3 responses and a 3 x 4T1 coefficient block.  No N_BS x N_BS
-    matrix is formed.
+    columns are [1, j] a (a^T W): column k is sum_r resp_r kron coef[r, k],
+    over the responses resp = [a, adot_mu, adot_nu] and length-T1 rows coef.
+    Its Gram is then sum_{r,s} (resp_r^H resp_s) coef[r, k]^H coef[s, l], so
+    neither the N_BS T1 x 4 Jacobian nor any N_BS x N_BS matrix is formed.
     """
     w = np.asarray(probing)
     n_bs = geometry.n_bs
@@ -132,8 +128,8 @@ def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
     coef = np.array([[beta * dw_mu, beta * dw_nu, aw, 1j * aw],
                      [beta * aw, zero, zero, zero],
                      [zero, beta * aw, zero, zero]])
-    jac = (resp @ coef.transpose(0, 2, 1).reshape(3, -1)).reshape(-1, 4)
-    return _gaussian_fim(jac, noise_var, STAGE1_LABELS)
+    gram = np.einsum("rs,rkt,slt->kl", resp.conj().T @ resp, coef.conj(), coef)
+    return _gaussian_fim(gram, noise_var, STAGE1_LABELS)
 
 
 def fim_stage1_white(geometry: SceneGeometry, p_bs_watts: float, t1: int,
@@ -272,8 +268,9 @@ def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
         b * wq,
         1j * b * wq,
     ]
+    jac = np.stack(cols, axis=1)
     # the matched filter's noise is CN(0, N_BS sigma^2) per sample
-    return _gaussian_fim(np.stack(cols, axis=1), noise_var * geometry.n_bs, CASE2_LABELS)
+    return _gaussian_fim(jac.conj().T @ jac, noise_var * geometry.n_bs, CASE2_LABELS)
 
 
 def fim_finite_difference_oracle(mean_fn: Callable[[np.ndarray], np.ndarray],

@@ -141,6 +141,9 @@ class ExperimentConfig:
         if self.n_targets > MATCHING_BUDGET:
             raise InvalidArgumentError(
                 f"{self.n_targets} targets exceed the matching budget {MATCHING_BUDGET}")
+        if self.n_targets > 1 and not self.joint_scan:
+            raise InvalidArgumentError(
+                f"joint_scan false serves one target, the scene has {self.n_targets} targets")
         try:
             self.stage2_mode = Stage2Mode(self.stage2_mode)
         except ValueError:

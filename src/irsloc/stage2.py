@@ -56,8 +56,8 @@ class IrsScanPlan:
     nu_grid: np.ndarray      # (t2_z,)
     codebook_y: np.ndarray   # (n_y, t2_y) unit-modulus columns
     codebook_z: np.ndarray   # (n_z, t2_z)
-    hold_y_index: int        # center codeword held while the other axis sweeps
-    hold_z_index: int
+    hold_y_index: int        # center y codeword, the z sweep's nominal hold in the bound
+    hold_z_index: int        # center z codeword, held while the y axis sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +93,7 @@ class ScanObservation:
 
     noise_var_effective: float      # N_BS * sigma^2
     y_values: np.ndarray | None = None      # (t2_y,) z-beam held at hold_z_index
-    z_values: np.ndarray | None = None      # (t2_z,) y-beam at the y-sweep peak or hold_y_index
+    z_values: np.ndarray | None = None      # (t2_z,) y-beam held at the y-sweep peak
     grid_values: np.ndarray | None = None   # (t2_y, t2_z)
 
 
@@ -222,10 +222,8 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     here unless the caller passes the one it keeps for many draws, and it is
     never written.  The joint scan reads the whole grid.  The sequential y
     sweep reads the column at the center z codeword; the z sweep then reads
-    the row of the noisy-best y beam when the scene has one target, and of
-    the center codeword otherwise, since with several targets the strongest
-    target's beam would suppress everyone else's elevation peak.  The BS beam
-    is sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
+    the row of the noisy-best y beam.  The BS beam is
+    sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all
@@ -245,10 +243,8 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     if joint:
         return ScanObservation(noise_var_effective=eff_var, grid_values=noisy(model))
     y_vals = noisy(model[:, plan.hold_z_index])
-    hold_y = (int(np.argmax(np.abs(y_vals) ** 2)) if len(geometry.targets) == 1
-              else plan.hold_y_index)
     return ScanObservation(noise_var_effective=eff_var, y_values=y_vals,
-                           z_values=noisy(model[hold_y]))
+                           z_values=noisy(model[np.argmax(np.abs(y_vals) ** 2)]))
 
 
 def classify_regime(geometry: SceneGeometry, irs_index: int, target_index: int) -> RegimeReport:
@@ -276,21 +272,19 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                   k: int = 1) -> list[SpatialAnglePair]:
     """Map the strongest beams back to surface-to-target DoAs.
 
-    One peak picker serves both scans: top_peaks_2d on the joint grid, or
-    on the y sweep as a one-column grid and the z sweep as a one-row grid.
-    The sweeps' top-k peaks pair by rank, strongest y with strongest z and so
-    on down.  By the rearrangement inequality this maximizes the summed power
-    product over all k! pairings; rank order is also the tie rule.  The known
-    arrival angles are subtracted from the composite grid values.
+    The joint grid yields its top-k separated peaks.  The two sequential
+    sweeps serve one target: each yields its strongest beam, the lowest
+    index on ties.  The known arrival angles are subtracted from the
+    composite grid values.
     """
     if obs.grid_values is not None:
         pairs = top_peaks_2d(np.abs(obs.grid_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+        if len(pairs) < k:
+            raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
+    elif k != 1:
+        raise InvalidArgumentError(f"a sequential scan resolves one target, not {k}")
     else:
-        y_peaks = top_peaks_2d(np.abs(obs.y_values[:, None]) ** 2, k, SCAN_SUPPRESSION_RADIUS)
-        z_peaks = top_peaks_2d(np.abs(obs.z_values[None, :]) ** 2, k, SCAN_SUPPRESSION_RADIUS)
-        pairs = [(i, j) for (i, _), (_, j) in zip(y_peaks, z_peaks)]
-    if len(pairs) < k:
-        raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
+        pairs = [(np.argmax(np.abs(obs.y_values) ** 2), np.argmax(np.abs(obs.z_values) ** 2))]
     return [SpatialAnglePair(float(plan.mu_grid[i]) - bs_irs_doa.mu,
                              float(plan.nu_grid[j]) - bs_irs_doa.nu) for i, j in pairs]
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from irsloc import InvalidArgumentError
+from irsloc import (
+    ExperimentConfig,
+    InvalidArgumentError,
+    crb_trace_stage1,
+    dbm_to_watts,
+    dft_codebook,
+    fim_stage1_white,
+)
 from irsloc.cli import main
 
 CONFIG = """
@@ -87,6 +94,23 @@ def test_crb_subcommand(tmp_path):
     assert "crb_trace_stage1" in header
     first_cell = out.read_text().splitlines()[1].split(",")[0]
     assert np.isfinite(float(first_cell))
+
+
+def test_crb_subcommand_trace_is_for_the_transmitted_codebook(tmp_path):
+    # with t1 < N_BS the DFT codebook is not spatially white, so the trace of
+    # the codebook a run sends differs from the white-probing closed form
+    cfg = write_config(tmp_path, CONFIG.replace("t1: 16", "t1: 8"))
+    out = tmp_path / "crb.csv"
+    assert main(["crb", cfg, "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    got = float(row[header.index("crb_trace_stage1")])
+    config = ExperimentConfig.from_yaml(cfg)
+    p_watts = dbm_to_watts(config.p_bs_dbm_sweep[0])
+    with pytest.warns(UserWarning, match="spatially white"):
+        probing = dft_codebook(config.scene.n_bs, 8, p_watts)
+    assert got == crb_trace_stage1(config.scene, probing, config.noise_var)
+    white = fim_stage1_white(config.scene, p_watts, 8, config.noise_var)
+    assert not np.isclose(got, np.sum(white.crb_diag), rtol=1e-3)
 
 
 def test_crb_subcommand_noiseless_writes_zero_bounds(tmp_path):

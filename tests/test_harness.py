@@ -89,6 +89,10 @@ def test_shared_power_point_matches_a_trial_run_alone():
     shipped = [ExperimentConfig.from_yaml(str(configs / name))
                for name in ("single_target.yaml", "multi_target.yaml")]
     for base, mode, joint in itertools.product(shipped, ("full", "case1", "case2"), (True, False)):
+        if base.n_targets > 1 and not joint:  # a sequential scan serves one target
+            with pytest.raises(InvalidArgumentError, match="joint_scan"):
+                replace(base, stage2_mode=mode, joint_scan=joint)
+            continue
         cfg = replace(base, stage2_mode=mode, joint_scan=joint)
         point = power_point(cfg, 40.0)
         assert all(plan is point.plans[0] for plan in point.plans)  # one shape, one plan
@@ -315,7 +319,7 @@ def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         tiny_config(scene=no_surface)
     five, six = ([Position3(-12.0, 6.0 - j, 0.0) for j in range(n)] for n in (5, 6))
-    tiny_config(scene=replace(tiny_config().scene, targets=five, rcs_dbsm=[]))
+    tiny_config(scene=replace(tiny_config().scene, targets=five, rcs_dbsm=[]), joint_scan=True)
     with pytest.raises(InvalidArgumentError, match="matching budget"):
         tiny_config(scene=replace(tiny_config().scene, targets=six, rcs_dbsm=[]))
     for bad in ({"music_grid": 0}, {"music_grid": -1e-3}, {"music_grid": 1.5},
@@ -361,6 +365,34 @@ def test_config_validation():
                                        multi["scene"]["irs"][2]]}
     with pytest.raises(InvalidArgumentError, match=re.escape("irs[1] coincides with the BS")):
         ExperimentConfig.from_dict({**multi, "scene": on_bs})
+
+
+def test_sequential_scan_config_takes_one_target(tmp_path):
+    # random scenes on the multi-target config's arrays and surfaces: several
+    # targets need the joint scan, one target may use the sequential scan
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "multi_target.yaml"
+    raw = yaml.safe_load(shipped.read_text())
+    rng = np.random.default_rng(12)
+    for n_targets in [2, 3] * 10 + [1] * 10:
+        targets = [[float(rng.uniform(-24, 0)), float(rng.uniform(-12, 12)),
+                    float(rng.uniform(-2, 1))] for _ in range(n_targets)]
+        doc = {**raw, "scene": {**raw["scene"], "targets": targets,
+                                "rcs_dbsm": [7.0] * n_targets}}
+        joint = ExperimentConfig.from_dict({**doc, "joint_scan": True})
+        sequential = {**doc, "joint_scan": False}
+        if n_targets == 1:
+            ExperimentConfig.from_dict(sequential)
+            replace(joint, joint_scan=False)
+            continue
+        message = f"joint_scan false serves one target, the scene has {n_targets} targets"
+        with pytest.raises(InvalidArgumentError, match=message):
+            ExperimentConfig.from_dict(sequential)
+        with pytest.raises(InvalidArgumentError, match=message):
+            ExperimentConfig(scene=joint.scene, joint_scan=False)
+    path = tmp_path / "multi_sequential.yaml"
+    path.write_text(shipped.read_text().replace("joint_scan: true", "joint_scan: false"))
+    with pytest.raises(InvalidArgumentError, match="joint_scan false .* 3 targets"):
+        ExperimentConfig.from_yaml(str(path))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -24,7 +24,7 @@ from irsloc import (
     upa_response,
 )
 from irsloc.channel import PathKind, path_gain, stage2_effective_channel
-from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude, stage2_model
+from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
 
 from conftest import random_desk_scene
 
@@ -176,8 +176,12 @@ def test_full_echo_matches_dense_oracle(noise_var):
     np.testing.assert_allclose(joint.grid_values.ravel(), expected, rtol=1e-10, atol=0)
 
     seq = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
+    # the z sweep holds the y sweep's strongest beam, read here off the oracle's own y sweep
+    y_sweep = _dense_full_echo(g, plan, p, [(range(plan.t2_y), [plan.hold_z_index] * plan.t2_y)],
+                               noise_var, seed)
+    hold_y = int(np.argmax(np.abs(y_sweep) ** 2))
     sweeps = [(range(plan.t2_y), [plan.hold_z_index] * plan.t2_y),
-              ([plan.hold_y_index] * plan.t2_z, range(plan.t2_z))]
+              ([hold_y] * plan.t2_z, range(plan.t2_z))]
     expected = _dense_full_echo(g, plan, p, sweeps, noise_var, seed)
     np.testing.assert_allclose(np.concatenate([seq.y_values, seq.z_values]), expected,
                                rtol=1e-10, atol=0)
@@ -366,36 +370,6 @@ def test_doubling_beams_never_worsens_worst_case_quantization():
         assert worst[2] <= worst[1] + 1e-12
 
 
-def test_sequential_multi_target_pairing():
-    # Targets placed at mirrored composite angles so both see equal hold-beam
-    # gains in each sweep; unequal ranges then let amplitude ordering resolve
-    # the 2! pairing.  The z sweep must keep the center hold, otherwise the
-    # stronger target's beam buries the weaker one's elevation peak.
-    bs, irs = Position3(0, 0, 5), Position3(-20, 0, 3)
-    aoa_nu = (irs.z - bs.z) / np.linalg.norm(irs.as_array() - bs.as_array())
-
-    def target_from_composite(comp_mu, comp_nu, d):
-        mu_it, nu_it = comp_mu - 0.0, comp_nu - aoa_nu
-        x = irs.x + d * np.sqrt(1 - mu_it**2 - nu_it**2)
-        return Position3(x, irs.y + mu_it * d, irs.z + nu_it * d)
-
-    g = SceneGeometry(
-        bs=bs, irs=[irs],
-        targets=[target_from_composite(0.45, -0.35, 7.0),
-                 target_from_composite(-0.45, 0.35, 11.0)],
-        bs_upa=UpaConfig(8, 8), irs_upa=[UpaConfig(16, 16)],
-    )
-    plan = build_scan_plan(g.irs_upa[0], 41, 41)
-    obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0)
-    model = stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
-    np.testing.assert_array_equal(obs.z_values, model[plan.hold_y_index])
-    est = scan_estimate(obs, plan, g.bs_irs_aoa(0), 2)
-    step = plan.mu_grid[1] - plan.mu_grid[0]
-    for k in range(2):
-        truth = g.irs_target_doa(0, k)
-        assert any(abs(e.mu - truth.mu) <= step and abs(e.nu - truth.nu) <= step for e in est), k
-
-
 def _sweep_estimate(y_power, z_power, k):
     """scan_estimate on hand-built sweeps of a 7x5-beam plan, as (y beam, z beam) pairs."""
     plan = build_scan_plan(UpaConfig(4, 4), 7, 5)
@@ -409,16 +383,12 @@ def _sweep_estimate(y_power, z_power, k):
 def test_sequential_estimate_on_hand_built_sweeps():
     # equal-power peaks go to the lowest beam index
     assert _sweep_estimate([0, 1, 0, 0, 1, 0, 0], [2, 0, 0, 0, 2], 1) == [(1, 0)]
-    # a plateau neighbour within SCAN_SUPPRESSION_RADIUS is suppressed
-    assert _sweep_estimate([0, 3, 3, 0, 0, 1, 0], [0, 4, 0, 1, 0], 2) == [(1, 1), (5, 3)]
-    # the strongest y pairs with the strongest z, and so on down
-    assert _sweep_estimate([0, 1, 0, 0, 3, 0, 0], [5, 0, 0, 2, 0], 2) == [(4, 0), (1, 3)]
-    # a sweep with fewer than k peaks cannot resolve k targets
-    for y_power, z_power in (([0, 1, 2, 3, 4, 5, 6], [1, 0, 0, 0, 1]),
-                             ([1, 0, 0, 1, 0, 0, 1], [0, 1, 2, 3, 4])):
-        with pytest.raises(UnderResolvedError) as caught:
+    # two sweeps cannot pair several targets' peaks, so they resolve one target only
+    for y_power, z_power in (([0, 3, 3, 0, 0, 1, 0], [0, 4, 0, 1, 0]),
+                             ([0, 1, 0, 0, 3, 0, 0], [5, 0, 0, 2, 0]),
+                             ([0, 1, 2, 3, 4, 5, 6], [1, 0, 0, 0, 1])):
+        with pytest.raises(InvalidArgumentError, match="one target"):
             _sweep_estimate(y_power, z_power, 2)
-        assert caught.value.found == 1
 
 
 def test_scan_under_resolved():
