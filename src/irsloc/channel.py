@@ -208,13 +208,20 @@ def channel_bti(geometry: SceneGeometry, irs_index: int, target_index: int) -> n
     return beta * np.outer(b_t, a)
 
 
-def _check_unit_modulus(theta: np.ndarray, n_r: int) -> np.ndarray:
-    theta = np.asarray(theta)
-    if theta.shape != (n_r,):
-        raise InvalidArgumentError(f"phase vector must have shape ({n_r},), got {theta.shape}")
-    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
-        raise InvalidArgumentError("reflecting elements are phase-only: |theta_i| must be 1")
-    return theta
+def check_unit_modulus(phases: np.ndarray) -> None:
+    """Reject surface phases or codewords with an entry off the unit circle (elements are phase-only)."""
+    if np.any(np.abs(np.abs(phases) - 1.0) > 1e-9):
+        raise InvalidArgumentError("reflecting-surface phases must be unit modulus")
+
+
+def add_circular_noise(signal: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """signal plus i.i.d. CN(0, variance) entries as a new array; all real parts are drawn first."""
+    scale = np.sqrt(variance / 2.0)
+    out = np.empty(signal.shape, dtype=complex)
+    np.multiply(scale, rng.standard_normal(signal.shape), out=out.real)
+    np.multiply(scale, rng.standard_normal(signal.shape), out=out.imag)
+    out += signal
+    return out
 
 
 def stage2_effective_channel(geometry: SceneGeometry, irs_index: int, target_index: int,
@@ -224,7 +231,10 @@ def stage2_effective_channel(geometry: SceneGeometry, irs_index: int, target_ind
     H_B2I^T diag(theta) H_ITI diag(theta) H_B2I
       + H_B2I^T diag(theta) H_BTI + H_BTI^T diag(theta) H_B2I
     """
-    theta = _check_unit_modulus(theta, geometry.n_irs(irs_index))
+    theta, n_r = np.asarray(theta), geometry.n_irs(irs_index)
+    if theta.shape != (n_r,):
+        raise InvalidArgumentError(f"phase vector must have shape ({n_r},), got {theta.shape}")
+    check_unit_modulus(theta)
     h_b2i = channel_b2i(geometry, irs_index)
     h_iti = channel_iti(geometry, irs_index, target_index)
     h_bti = channel_bti(geometry, irs_index, target_index)

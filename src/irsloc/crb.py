@@ -30,7 +30,7 @@ from .arrays import (
     upa_response,
     upa_response_derivatives,
 )
-from .channel import PathKind, SceneGeometry, path_gain
+from .channel import PathKind, SceneGeometry, check_unit_modulus, path_gain
 from .errors import InvalidArgumentError, OracleFailureError
 from .stage2 import (
     KroneckerCodewords,
@@ -155,15 +155,7 @@ def fim_stage1_white(geometry: SceneGeometry, p_bs_watts: float, t1: int,
 def crb_trace_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
                      target_index: int = 0) -> float:
     """Trace of the inverse stage-1 FIM; +inf when the FIM is singular."""
-    result = fim_stage1(geometry, probing, noise_var, target_index)
-    if result.singular:
-        return np.inf
-    return float(np.sum(result.crb_diag))
-
-
-def _check_unit_modulus(w: np.ndarray) -> None:
-    if np.any(np.abs(np.abs(w) - 1.0) > 1e-9):
-        raise InvalidArgumentError("codeword entries must be unit modulus")
+    return float(np.sum(fim_stage1(geometry, probing, noise_var, target_index).crb_diag))
 
 
 def _check_codewords(codewords: Sequence[np.ndarray], n_r: int) -> np.ndarray:
@@ -172,7 +164,7 @@ def _check_codewords(codewords: Sequence[np.ndarray], n_r: int) -> np.ndarray:
         raise InvalidArgumentError("need at least one codeword")
     if w.shape[0] != n_r:
         raise InvalidArgumentError(f"codewords must have length {n_r}")
-    _check_unit_modulus(w)
+    check_unit_modulus(w)
     return w
 
 
@@ -194,8 +186,8 @@ def _projections(cfg: UpaConfig, comp: SpatialAnglePair, codewords: Sequence[np.
         raise InvalidArgumentError("need at least one codeword")
     if cy.shape[0] != cfg.n_y or cz.shape[0] != cfg.n_z:
         raise InvalidArgumentError(f"codewords must have length {cfg.n}")
-    _check_unit_modulus(cy)
-    _check_unit_modulus(cz)
+    check_unit_modulus(cy)
+    check_unit_modulus(cz)
     gy, gz = beam_gains(cfg, comp, cy, cz)
     hy = steering_derivative(comp.mu, cfg.n_y) @ cy
     hz = steering_derivative(comp.nu, cfg.n_z) @ cz

@@ -32,8 +32,10 @@ from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_s
 from .stage2 import (
     IrsScanPlan,
     Stage2Mode,
+    beam_gains,
     build_scan_plan,
     classify_regime,
+    composite_angle,
     joint_codewords,
     scan_estimate,
     sequential_codewords,
@@ -370,8 +372,8 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
 
-        loc = match_and_localize(est_bs, {i: est_irs[i] for i in range(m)}, scene)
-        record.est_positions = _align(true_pos, np.array([e.position.as_array() for e in loc]))
+        record.est_positions = _align(
+            true_pos, match_and_localize(est_bs, {i: est_irs[i] for i in range(m)}, scene))
     except IrslocError as exc:
         record.failed = True
         record.failure = f"{type(exc).__name__}: {exc}"
@@ -387,8 +389,10 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
     The stage-2 bound takes the first surface's scan codewords as Kronecker
-    factors.  point, when given, is the power point's shared codebook and
-    plans; without it only those are built, never a trial's echo or models.
+    factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
+    the strongest |g_y| at target 0's composite angle, as synthesis sends it.
+    point, when given, is the power point's shared codebook and plans;
+    without it only those are built, never a trial's echo or models.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
@@ -398,7 +402,12 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
     probing, plans = _codebooks(config, p_bs_dbm) if point is None else (point.probing, point.plans)
     s1 = fim_stage1(scene, probing, noise_var)
-    words = joint_codewords(plans[0]) if config.joint_scan else sequential_codewords(plans[0])
+    if config.joint_scan:
+        words = joint_codewords(plans[0])
+    else:
+        gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
+                           plans[0].codebook_y, plans[0].codebook_z)
+        words = sequential_codewords(plans[0], int(np.argmax(np.abs(gy))))
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"

@@ -3,8 +3,10 @@
 One BS DoA plus one surface DoA pin down the two ranges through a 2x2 linear
 system in the y-z plane; the x coordinate comes from the BS range sphere,
 with the surface sphere breaking the sign ambiguity.  Multi-target scenes
-enumerate DoA-to-target assignments over surface pairs and keep the
-assignment whose reconstructions re-predict the other surface's DoAs best.
+build one table of every (BS DoA, surface DoA) construction per surface,
+enumerate DoA-to-target assignments over surface pairs from those tables,
+and keep the assignment whose reconstructions re-predict the other surface's
+DoAs best.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class LocationEstimate:
     position: Position3
     d_b2t: float
     d_i2t: float
-    residual: float
 
 
 def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> LocationEstimate:
@@ -93,15 +94,10 @@ def construct_location(obs: DoAPairObservation, geometry: SceneGeometry) -> Loca
     if abs(gaps[0] - gaps[1]) <= 1e-12 * (1.0 + sphere_radius):
         front = [x for x in candidates if x >= irs.x - BS_RADICAND_TOL]
         x_t = front[0] if front else candidates[0]
-        residual = gaps[0]
     else:
-        pick = int(np.argmin(gaps))
-        x_t = candidates[pick]
-        residual = gaps[pick]
-    return LocationEstimate(
-        position=Position3(float(x_t), float(y_t), float(z_t)),
-        d_b2t=float(d_b2t), d_i2t=float(d_i2t), residual=float(residual),
-    )
+        x_t = candidates[int(np.argmin(gaps))]
+    return LocationEstimate(position=Position3(float(x_t), float(y_t), float(z_t)),
+                            d_b2t=float(d_b2t), d_i2t=float(d_i2t))
 
 
 @dataclass
@@ -112,70 +108,73 @@ class PairAssignment:
     estimates: list[LocationEstimate]
 
 
-def _doa_residual(est: SpatialAnglePair, ref: SpatialAnglePair) -> float:
-    return (est.mu - ref.mu) ** 2 + (est.nu - ref.nu) ** 2
+def _construct_or_none(obs: DoAPairObservation, geometry: SceneGeometry) -> LocationEstimate | None:
+    try:
+        return construct_location(obs, geometry)
+    except (DegenerateGeometryError, InconsistentDoAError):
+        return None
 
 
-def _constructions(bs_doas, doas, irs_index, geometry):
-    """Per-permutation construction lists; None where the geometry rejects one."""
-    k = len(bs_doas)
+def construction_table(bs_doas, doas, irs_index: int,
+                       geometry: SceneGeometry) -> list[list[LocationEstimate | None]]:
+    """Entry [j][i] constructs BS DoA j with surface DoA i; None where the geometry rejects the pair."""
+    return [[_construct_or_none(DoAPairObservation(bs_doa, doa, irs_index), geometry) for doa in doas]
+            for bs_doa in bs_doas]
+
+
+def _valid_orders(table) -> list[tuple[int, ...]]:
+    """Lexicographic orders perm (BS DoA j takes surface DoA perm[j]) whose constructions all exist."""
+    return [perm for perm in itertools.permutations(range(len(table)))
+            if all(table[j][i] is not None for j, i in enumerate(perm))]
+
+
+def _mismatches(table, orders, irs, spacing, doas) -> dict:
+    """Squared DoA mismatch, at irs, of each construction (j, i) some order uses to each of doas."""
     out = {}
-    for perm in itertools.permutations(range(k)):
-        ests = []
-        for j in range(k):
-            try:
-                ests.append(construct_location(
-                    DoAPairObservation(bs_doas[j], doas[perm[j]], irs_index), geometry))
-            except (DegenerateGeometryError, InconsistentDoAError):
-                ests = None
-                break
-        out[perm] = ests
+    for j, i in {(j, i) for perm in orders for j, i in enumerate(perm)}:
+        p = spatial_doa(irs, table[j][i].position, spacing)
+        out[j, i] = [(p.mu - doa.mu) ** 2 + (p.nu - doa.nu) ** 2 for doa in doas]
     return out
 
 
-def enumerate_pair_assignments(bs_doas, doas_a, doas_b, irs_a: int, irs_b: int,
+def enumerate_pair_assignments(table_a, table_b, doas_a, doas_b, irs_a: int, irs_b: int,
                                geometry: SceneGeometry) -> list[PairAssignment]:
     """Score every joint assignment of two surfaces' DoA lists against each other.
 
-    Candidates built from surface A must re-predict surface B's DoAs under
-    B's assignment, and vice versa; the residual is the stacked squared DoA
-    mismatch of both cross-checks.  Returned sorted, best first.
+    table_a and table_b are the surfaces' construction_table.  Candidates
+    built from surface A must re-predict surface B's DoAs under B's
+    assignment, and vice versa; the residual is the stacked squared DoA
+    mismatch of both cross-checks.  Returned stable-sorted, best first.
     """
-    k = len(bs_doas)
-    cons_a = _constructions(bs_doas, doas_a, irs_a, geometry)
-    cons_b = _constructions(bs_doas, doas_b, irs_b, geometry)
-    spacing_a = geometry.irs_upa[irs_a].spacing_over_lambda
-    spacing_b = geometry.irs_upa[irs_b].spacing_over_lambda
+    orders_a, orders_b = _valid_orders(table_a), _valid_orders(table_b)
+    if not (orders_a and orders_b):
+        return []
+    miss_a = _mismatches(table_a, orders_a, geometry.irs[irs_b],
+                         geometry.irs_upa[irs_b].spacing_over_lambda, doas_b)
+    miss_b = _mismatches(table_b, orders_b, geometry.irs[irs_a],
+                         geometry.irs_upa[irs_a].spacing_over_lambda, doas_a)
     results = []
-    for perm_a, ests_a in cons_a.items():
-        if ests_a is None:
-            continue
-        for perm_b, ests_b in cons_b.items():
-            if ests_b is None:
-                continue
-            res_a = sum(
-                _doa_residual(spatial_doa(geometry.irs[irs_b], ests_a[j].position, spacing_b),
-                              doas_b[perm_b[j]])
-                for j in range(k))
-            res_b = sum(
-                _doa_residual(spatial_doa(geometry.irs[irs_a], ests_b[j].position, spacing_a),
-                              doas_a[perm_a[j]])
-                for j in range(k))
+    for perm_a in orders_a:
+        for perm_b in orders_b:
+            # plain sums over j in order: np.sum's pairwise order would move the low bits ranked here
+            res_a = sum(miss_a[j, i][perm_b[j]] for j, i in enumerate(perm_a))
+            res_b = sum(miss_b[j, i][perm_a[j]] for j, i in enumerate(perm_b))
+            table, perm = (table_a, perm_a) if res_a <= res_b else (table_b, perm_b)
             results.append(PairAssignment(residual=float(np.sqrt(res_a + res_b)),
-                                          estimates=ests_a if res_a <= res_b else ests_b))
+                                          estimates=[table[j][i] for j, i in enumerate(perm)]))
     results.sort(key=lambda r: r.residual)
     return results
 
 
 def match_and_localize(bs_doas: list[SpatialAnglePair],
                        per_irs_doas: dict[int, list[SpatialAnglePair]],
-                       geometry: SceneGeometry) -> list[LocationEstimate]:
-    """Assign surface DoAs to BS DoAs and reconstruct every target.
+                       geometry: SceneGeometry) -> np.ndarray:
+    """Assign surface DoAs to BS DoAs and reconstruct every target: (K, 3) positions.
 
-    Output order follows bs_doas.  Each surface pair contributes the
-    reconstruction of its best joint assignment; positions are averaged
-    across pairs.  Pairs whose every assignment fails are skipped with a
-    warning.
+    Rows follow bs_doas.  Each surface's construction table is built once;
+    each surface pair contributes the reconstruction of its best joint
+    assignment, and positions are averaged across pairs.  Pairs whose every
+    assignment fails are skipped with a warning.
     """
     k = len(bs_doas)
     if k < 1:
@@ -191,31 +190,20 @@ def match_and_localize(bs_doas: list[SpatialAnglePair],
 
     if k == 1 and len(irs_ids) == 1:
         m = irs_ids[0]
-        return [construct_location(DoAPairObservation(bs_doas[0], per_irs_doas[m][0], m), geometry)]
+        obs = DoAPairObservation(bs_doas[0], per_irs_doas[m][0], m)
+        return construct_location(obs, geometry).position.as_array()[None]
     if len(irs_ids) < 2:
         raise InvalidArgumentError("multi-target matching needs at least 2 surfaces")
 
-    per_pair: list[list[LocationEstimate]] = []
-    residuals: list[float] = []
+    tables = {m: construction_table(bs_doas, per_irs_doas[m], m, geometry) for m in irs_ids}
+    per_pair: list[list[np.ndarray]] = []
     for irs_a, irs_b in itertools.combinations(irs_ids, 2):
-        ranked = enumerate_pair_assignments(bs_doas, per_irs_doas[irs_a], per_irs_doas[irs_b],
-                                            irs_a, irs_b, geometry)
+        ranked = enumerate_pair_assignments(tables[irs_a], tables[irs_b], per_irs_doas[irs_a],
+                                            per_irs_doas[irs_b], irs_a, irs_b, geometry)
         if not ranked:
             warnings.warn(f"surface pair ({irs_a}, {irs_b}) fully degenerate; skipped", stacklevel=2)
             continue
-        per_pair.append(ranked[0].estimates)
-        residuals.append(ranked[0].residual)
+        per_pair.append([est.position.as_array() for est in ranked[0].estimates])
     if not per_pair:
         raise DegenerateGeometryError("every surface pair was degenerate")
-
-    merged = []
-    for j in range(k):
-        positions = np.mean([ests[j].position.as_array() for ests in per_pair], axis=0)
-        template = per_pair[int(np.argmin(residuals))][j]
-        merged.append(LocationEstimate(
-            position=Position3(*map(float, positions)),
-            d_b2t=float(np.linalg.norm(positions - geometry.bs.as_array())),
-            d_i2t=template.d_i2t,
-            residual=float(np.mean(residuals)),
-        ))
-    return merged
+    return np.mean(per_pair, axis=0)

@@ -26,6 +26,7 @@ from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, upa_response
 from .channel import (  # channel_btb: unused, but perfbench traces it by name here
     PathKind,
     SceneGeometry,
+    add_circular_noise,
     channel_btb,
     path_gain,
 )
@@ -84,9 +85,7 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
     """
     y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:
-        rng = np.random.default_rng(seed)
-        scale = np.sqrt(noise_var / 2.0)
-        y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        y = add_circular_noise(y, noise_var, np.random.default_rng(seed))
     return SnapshotBlock(samples=y, noise_var=noise_var, seed=seed)
 
 

@@ -22,10 +22,12 @@ from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, steering_vecto
 from .channel import (  # channel_b2i/bti/iti: unused, but perfbench traces them by name here
     PathKind,
     SceneGeometry,
+    add_circular_noise,
     cascade_power_closed_form,
     channel_b2i,
     channel_bti,
     channel_iti,
+    check_unit_modulus,
     path_gain,
 )
 from .errors import InvalidArgumentError, UnderResolvedError
@@ -56,7 +58,6 @@ class IrsScanPlan:
     nu_grid: np.ndarray      # (t2_z,)
     codebook_y: np.ndarray   # (n_y, t2_y) unit-modulus columns
     codebook_z: np.ndarray   # (n_z, t2_z)
-    hold_y_index: int        # center y codeword, the z sweep's nominal hold in the bound
     hold_z_index: int        # center z codeword, held while the y axis sweeps
 
 
@@ -130,7 +131,7 @@ def build_scan_plan(irs_cfg: UpaConfig, t2_y: int, t2_z: int) -> IrsScanPlan:
     return IrsScanPlan(
         t2_y=t2_y, t2_z=t2_z, mu_grid=mu_grid, nu_grid=nu_grid,
         codebook_y=codebook_y, codebook_z=codebook_z,
-        hold_y_index=(t2_y - 1) // 2, hold_z_index=(t2_z - 1) // 2,
+        hold_z_index=(t2_z - 1) // 2,
     )
 
 
@@ -139,8 +140,7 @@ def cascade_scalar(theta: np.ndarray, b_in: np.ndarray, b_out: np.ndarray) -> co
     theta = np.asarray(theta)
     if theta.shape != b_in.shape or theta.shape != b_out.shape:
         raise InvalidArgumentError("theta and the two responses must share one length")
-    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-9):
-        raise InvalidArgumentError("reflecting elements are phase-only: |theta_i| must be 1")
+    check_unit_modulus(theta)
     return complex(np.sum(b_in * theta * b_out))
 
 
@@ -235,10 +235,7 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     eff_var = geometry.n_bs * noise_var
 
     def noisy(vals):  # always a new array, so an observation never aliases model
-        if noise_var <= 0:
-            return vals.copy()
-        return vals + np.sqrt(eff_var / 2.0) * (
-            rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape))
+        return vals.copy() if noise_var <= 0 else add_circular_noise(vals, eff_var, rng)
 
     if joint:
         return ScanObservation(noise_var_effective=eff_var, grid_values=noisy(model))
@@ -289,13 +286,14 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                              float(plan.nu_grid[j]) - bs_irs_doa.nu) for i, j in pairs]
 
 
-def sequential_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
-    """Nominal per-sample phase vectors of a sequential scan (center holds).
+def sequential_codewords(plan: IrsScanPlan, hold_y: int) -> KroneckerCodewords:
+    """Per-sample phase vectors of a sequential scan.
 
-    The y sweep holds the center z beam, then the z sweep holds the center
-    y beam; the value keeps the factors and indexes like the dense list.
+    The y sweep holds the center z beam, then the z sweep holds y beam
+    hold_y, which a scan sets to the y sweep's peak; the value keeps the
+    factors and indexes like the dense list.
     """
-    y_idx = np.concatenate([np.arange(plan.t2_y), np.full(plan.t2_z, plan.hold_y_index)])
+    y_idx = np.concatenate([np.arange(plan.t2_y), np.full(plan.t2_z, hold_y)])
     z_idx = np.concatenate([np.full(plan.t2_y, plan.hold_z_index), np.arange(plan.t2_z)])
     return KroneckerCodewords(plan.codebook_y, plan.codebook_z, y_idx, z_idx)
 

@@ -279,7 +279,7 @@ def test_repeated_codeword_case2_fim_is_singular():
 def test_three_beams_restore_identifiability():
     g = random_desk_scene(72)
     plan = build_scan_plan(g.irs_upa[0], 3, 3)
-    words = sequential_codewords(plan)
+    words = sequential_codewords(plan, center_hold_y(plan))
     result = fim_stage2_case1(g, 0, 0, words, 1e-3, 1.0)
     assert not result.singular
     assert np.isfinite(result.crb("mu"))
@@ -294,7 +294,8 @@ def test_three_beams_restore_identifiability():
 
 def test_two_beams_remain_nearly_singular():
     g = random_desk_scene(73)
-    words3 = sequential_codewords(build_scan_plan(g.irs_upa[0], 3, 3))
+    plan = build_scan_plan(g.irs_upa[0], 3, 3)
+    words3 = sequential_codewords(plan, center_hold_y(plan))
     two = random_codewords(g.n_irs(0), 2, 5)
     f2 = fim_stage2_case1(g, 0, 0, [two[0], two[1]] * 4, 1e-3, 1.0)
     f3 = fim_stage2_case1(g, 0, 0, words3, 1e-3, 1.0)
@@ -343,16 +344,22 @@ def dense_joint_codewords(plan):
             for i in range(plan.t2_y) for j in range(plan.t2_z)]
 
 
+def center_hold_y(plan):
+    return (plan.t2_y - 1) // 2
+
+
 def dense_sequential_codewords(plan):
+    """The dense vectors of a sequential scan whose z sweep holds the center y beam."""
     words = [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, plan.hold_z_index])
              for i in range(plan.t2_y)]
-    words += [np.kron(plan.codebook_y[:, plan.hold_y_index], plan.codebook_z[:, j])
+    words += [np.kron(plan.codebook_y[:, center_hold_y(plan)], plan.codebook_z[:, j])
               for j in range(plan.t2_z)]
     return words
 
 
 SCANS = {"joint": (joint_codewords, dense_joint_codewords),
-         "sequential": (sequential_codewords, dense_sequential_codewords)}
+         "sequential": (lambda plan: sequential_codewords(plan, center_hold_y(plan)),
+                        dense_sequential_codewords)}
 
 
 @pytest.mark.parametrize("fim", [fim_stage2_case1, fim_stage2_case2])
@@ -398,7 +405,7 @@ def test_factored_codewords_keep_the_unit_modulus_check(single_scene, fim, axis)
 
 def test_factored_codewords_slice_like_the_dense_list():
     plan = build_scan_plan(UpaConfig(3, 4), 4, 5)
-    words = sequential_codewords(plan)
+    words = sequential_codewords(plan, center_hold_y(plan))
     assert isinstance(words[2:7], KroneckerCodewords)
     for got, want in zip(words[2:7], dense_sequential_codewords(plan)[2:7], strict=True):
         np.testing.assert_array_equal(got, want)

@@ -35,9 +35,13 @@ from irsloc.harness import (
     run_doa_snapshot,
     run_t2_sweep,
 )
+from irsloc.channel import dbm_to_watts
+from irsloc.crb import fim_stage2_case1, fim_stage2_case2
 from irsloc.localization import DoAPairObservation, construct_location
 from irsloc.stage1 import _steering_table
-from irsloc.stage2 import build_scan_plan
+from irsloc.stage2 import KroneckerCodewords, build_scan_plan, stage2_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides):
@@ -114,16 +118,37 @@ def test_shared_power_point_matches_a_trial_run_alone():
 
 
 def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
-    cfg = ExperimentConfig.from_yaml(str(Path(__file__).resolve().parents[1]
-                                         / "configs" / "multi_target.yaml"))
-    expected = attach_crb(cfg, 40.0, power_point(cfg, 40.0))
+    configs = [ExperimentConfig.from_yaml(str(CONFIGS / name))
+               for name in ("multi_target.yaml", "single_target.yaml")]  # joint, sequential
+    expected = [attach_crb(cfg, 40.0, power_point(cfg, 40.0)) for cfg in configs]
 
     def trial_only(*args, **kwargs):
         raise AssertionError("the bounds path built a trial invariant")
 
     for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
         monkeypatch.setattr(harness, name, trial_only)
-    assert attach_crb(cfg, 40.0) == expected
+    assert [attach_crb(cfg, 40.0) for cfg in configs] == expected
+
+
+@pytest.mark.parametrize("t2", [7, 10, 30, 60])
+@pytest.mark.parametrize("mode", ["case1", "case2", "full"])
+def test_sequential_bound_holds_the_sent_y_beam(mode, t2):
+    # the z sweep holds the noiseless y-sweep peak, as synthesize_stage2 sends it
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")),
+                  stage2_mode=mode, t2_y=t2, t2_z=t2)
+    p_watts = dbm_to_watts(0.0)
+    plan = build_scan_plan(cfg.scene.irs_upa[0], t2, t2)
+    model = stage2_model(cfg.scene, 0, plan, cfg.stage2_mode, p_watts)
+    hold_y = int(np.argmax(np.abs(model[:, plan.hold_z_index]) ** 2))
+    sent = KroneckerCodewords(plan.codebook_y, plan.codebook_z,
+                              np.r_[np.arange(t2), np.full(t2, hold_y)],
+                              np.r_[np.full(t2, plan.hold_z_index), np.arange(t2)])
+    fim, keys = ((fim_stage2_case2, ("mu_i2t", "nu_i2t")) if mode == "case2"
+                 else (fim_stage2_case1, ("mu", "nu")))
+    result = fim(cfg.scene, 0, 0, sent, cfg.noise_var, p_watts)
+    bounds = attach_crb(cfg, 0.0)
+    assert bounds["sqrt_crb_mu_irs"] == float(np.sqrt(result.crb(keys[0])))
+    assert bounds["sqrt_crb_nu_irs"] == float(np.sqrt(result.crb(keys[1])))
 
 
 def test_run_reruns_byte_identical_csv(tmp_path):

@@ -33,7 +33,7 @@ def test_scan_grid_endpoints_inclusive():
     plan = build_scan_plan(UpaConfig(4, 4), 3, 5)
     assert np.allclose(plan.mu_grid, [-1.0, 0.0, 1.0])
     assert np.allclose(plan.nu_grid, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert plan.hold_y_index == 1 and plan.hold_z_index == 2
+    assert plan.hold_z_index == 2
 
 
 def test_scan_codewords_unit_modulus():
