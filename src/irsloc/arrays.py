@@ -9,6 +9,7 @@ centroid, so every steering vector carries the centered phase progression.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -143,12 +144,19 @@ def dft_codebook(n: int, t: int, power: float) -> np.ndarray:
     """
     if n < 1 or t < 1:
         raise InvalidArgumentError("codebook dimensions must be >= 1")
-    if power <= 0:
-        raise InvalidArgumentError("transmit power must be positive")
+    if not (np.isfinite(power) and power > 0):
+        raise InvalidArgumentError(f"transmit power {power!r} must be finite and positive")
     if t < n:
         warnings.warn(f"codebook with t={t} < n={n} columns cannot be spatially white", stacklevel=2)
-    roots = np.exp(-2j * np.pi * np.arange(t) / t)
-    return np.sqrt(power / n) * roots[np.outer(np.arange(n), np.arange(t)) % t]
+    return np.sqrt(power / n) * _dft_table(n, t)
+
+
+@functools.lru_cache(maxsize=8)
+def _dft_table(n: int, t: int) -> np.ndarray:
+    """Read-only (n, t) table of exp(-j*2*pi*((tau*k) mod t)/t), shared by every power."""
+    table = np.exp(-2j * np.pi * np.arange(t) / t)[np.outer(np.arange(n), np.arange(t)) % t]
+    table.setflags(write=False)
+    return table
 
 
 def normalized_beam_gain(delta_mu: float, delta_nu: float, n_bar: int) -> float:

@@ -10,6 +10,7 @@ to the output come exclusively from the Fisher-information module.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import numbers
 import sys
@@ -249,9 +250,17 @@ def _align(true_rows: np.ndarray, est_rows: np.ndarray) -> np.ndarray:
     """
     cost = np.sum((true_rows[:, None, :] - est_rows[None, :, :]) ** 2, axis=-1)
     k = len(true_rows)
-    perms = np.array(list(itertools.permutations(range(k))))
+    perms = _permutations(k)
     best = int(np.argmin(cost[np.arange(k), perms].sum(axis=1)))
     return est_rows[perms[best]]
+
+
+@functools.lru_cache(maxsize=MATCHING_BUDGET)
+def _permutations(k: int) -> np.ndarray:
+    """Read-only (k!, k) table of every order of range(k), in lexicographic order."""
+    perms = np.array(list(itertools.permutations(range(k))))
+    perms.setflags(write=False)
+    return perms
 
 
 def _scene_truth(scene: SceneGeometry):
@@ -268,11 +277,11 @@ def _scene_truth(scene: SceneGeometry):
 class PowerPoint:
     """What the trials of one power point share, built once so that a trial only draws and estimates.
 
-    The probing codebook and the scan plans depend on the arrays and sample
-    counts alone; the rest is the scene's: the noiseless stage-1 snapshots,
-    each surface's noiseless scan samples over its whole beam grid, the true
-    angles and positions, and the regime.  The arrays are read-only, since
-    one value serves every trial of the point.
+    The probing codebook and the scan plans come from tables cached per
+    shape for the process; the rest is the scene's: the noiseless stage-1
+    snapshots, each surface's noiseless scan samples over its whole beam
+    grid, the true angles and positions, and the regime.  The arrays are
+    read-only, since one value serves every trial of the point.
     """
 
     probing: np.ndarray
@@ -285,42 +294,24 @@ class PowerPoint:
     regime: str
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
-def _codebooks(config: ExperimentConfig,
-               p_bs_dbm: float) -> tuple[np.ndarray, tuple[IrsScanPlan, ...]]:
-    """The probing codebook and one scan plan per surface, read-only."""
-    probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_bs_dbm))
-    # A plan depends on the surface's array alone, so surfaces of one shape share it.
-    by_array = {u: build_scan_plan(u, config.t2_y, config.t2_z)
-                for u in dict.fromkeys(config.scene.irs_upa)}
-    _read_only(probing)
-    for plan in by_array.values():
-        _read_only(plan.mu_grid, plan.nu_grid, plan.codebook_y, plan.codebook_z)
-    return probing, tuple(by_array[u] for u in config.scene.irs_upa)
-
-
-def power_point(config: ExperimentConfig, p_bs_dbm: float,
-                codebooks: tuple[np.ndarray, tuple[IrsScanPlan, ...]] | None = None) -> PowerPoint:
+def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
     """Build the per-power-point invariants once, for every trial at p_bs_dbm.
 
-    codebooks, when given, is the (probing, plans) pair of another config
-    with the same arrays, sample counts and power, shared by scenes that
-    differ in their targets only.  Raises IrslocError when the scene itself
-    is degenerate, e.g. a target on a surface.
+    The codebook and plans come from their builders' per-shape caches.
+    Raises IrslocError when the scene itself is degenerate, e.g. a target
+    on a surface.
     """
     scene = config.scene
-    probing, plans = _codebooks(config, p_bs_dbm) if codebooks is None else codebooks
+    p_watts = dbm_to_watts(p_bs_dbm)
+    probing = dft_codebook(scene.n_bs, config.t1, p_watts)
+    plans = tuple(build_scan_plan(u, config.t2_y, config.t2_z) for u in scene.irs_upa)
     true_bs, true_irs, true_pos = _scene_truth(scene)
     regime = classify_regime(scene, 0, 0).regime.value
     echo = stage1_echo(scene, probing)
-    p_watts = dbm_to_watts(p_bs_dbm)
     models = tuple(stage2_model(scene, i, plan, config.stage2_mode, p_watts)
                    for i, plan in enumerate(plans))
-    _read_only(echo, *models, true_bs, true_irs, true_pos)
+    for a in (probing, echo, *models, true_bs, true_irs, true_pos):
+        a.setflags(write=False)
     return PowerPoint(probing=probing, plans=plans, echo=echo, models=models,
                       true_bs_doas=true_bs, true_irs_doas=true_irs, true_positions=true_pos,
                       regime=regime)
@@ -391,8 +382,8 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     The stage-2 bound takes the first surface's scan codewords as Kronecker
     factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
     the strongest |g_y| at target 0's composite angle, as synthesis sends it.
-    point, when given, is the power point's shared codebook and plans;
-    without it only those are built, never a trial's echo or models.
+    point, when given, is the power point's codebook and plans; without it
+    only those are fetched from their builders, never a trial's echo or models.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
@@ -400,14 +391,16 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    probing, plans = _codebooks(config, p_bs_dbm) if point is None else (point.probing, point.plans)
+    probing, plan = ((dft_codebook(scene.n_bs, config.t1, p_watts),
+                      build_scan_plan(scene.irs_upa[0], config.t2_y, config.t2_z))
+                     if point is None else (point.probing, point.plans[0]))
     s1 = fim_stage1(scene, probing, noise_var)
     if config.joint_scan:
-        words = joint_codewords(plans[0])
+        words = joint_codewords(plan)
     else:
         gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
-                           plans[0].codebook_y, plans[0].codebook_z)
-        words = sequential_codewords(plans[0], int(np.argmax(np.abs(gy))))
+                           plan.codebook_y, plan.codebook_z)
+        words = sequential_codewords(plan, int(np.argmax(np.abs(gy))))
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
         s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"
@@ -498,7 +491,6 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
     if config.n_targets != 1:
         raise InvalidArgumentError("area sweep is a single-target experiment")
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
-    codebooks = _codebooks(config, p_dbm)  # the cells move the target only
     rows = []
     cell = 0
     for x in x_values:
@@ -506,7 +498,7 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
             scene = replace(config.scene, targets=[Position3(float(x), float(y), target_z)])
             cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
             try:
-                point = power_point(cfg, p_dbm, codebooks)
+                point = power_point(cfg, p_dbm)
             except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
                 records, degenerate = [], config.trials
             else:

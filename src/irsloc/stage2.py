@@ -11,6 +11,7 @@ surface-to-target DoA.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -48,9 +49,9 @@ class Regime(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrsScanPlan:
-    """Separable y/z scan codebooks over the endpoint-inclusive beam grids."""
+    """Separable y/z scan codebooks over the endpoint-inclusive beam grids; arrays read-only."""
 
     t2_y: int
     t2_z: int
@@ -119,15 +120,22 @@ def build_scan_plan(irs_cfg: UpaConfig, t2_y: int, t2_z: int) -> IrsScanPlan:
 
     The same grid is used for synthesis and inversion so the two are exact
     inverses.  Fewer than 3 beams on an axis cannot pin down the direction
-    and channel coefficient jointly, hence the warning.
+    and channel coefficient jointly, hence the warning; the plan is cached per shape.
     """
     if t2_y < 3 or t2_z < 3:
         warnings.warn(f"scan with {t2_y}x{t2_z} beams is below the 3-beam identifiability minimum",
                       stacklevel=2)
+    return _scan_plan(irs_cfg, t2_y, t2_z)
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_plan(irs_cfg: UpaConfig, t2_y: int, t2_z: int) -> IrsScanPlan:
     mu_grid = _scan_grid(t2_y)
     nu_grid = _scan_grid(t2_z)
     codebook_y = np.conj(steering_matrix(mu_grid, irs_cfg.n_y).T)
     codebook_z = np.conj(steering_matrix(nu_grid, irs_cfg.n_z).T)
+    for a in (mu_grid, nu_grid, codebook_y, codebook_z):
+        a.setflags(write=False)
     return IrsScanPlan(
         t2_y=t2_y, t2_z=t2_z, mu_grid=mu_grid, nu_grid=nu_grid,
         codebook_y=codebook_y, codebook_z=codebook_z,

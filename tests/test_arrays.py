@@ -209,9 +209,16 @@ def test_dft_codebook_rejects_nonpositive_power():
         dft_codebook(4, 8, 0.0)
 
 
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), -float("inf")])
+def test_dft_codebook_rejects_non_finite_power(power):
+    with pytest.raises(InvalidArgumentError, match=f"transmit power {power!r} "):
+        dft_codebook(4, 8, power)
+
+
 def test_dft_codebook_warns_when_undersampled():
-    with pytest.warns(UserWarning):
-        dft_codebook(8, 4, 1.0)
+    for _ in range(2):  # the cached table must not swallow the warning
+        with pytest.warns(UserWarning):
+            dft_codebook(8, 4, 1.0)
 
 
 def test_beam_gain_peak_and_null():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,11 +36,12 @@ from irsloc.harness import (
     run_doa_snapshot,
     run_t2_sweep,
 )
+from irsloc.arrays import _dft_table
 from irsloc.channel import dbm_to_watts
 from irsloc.crb import fim_stage2_case1, fim_stage2_case2
 from irsloc.localization import DoAPairObservation, construct_location
 from irsloc.stage1 import _steering_table
-from irsloc.stage2 import KroneckerCodewords, build_scan_plan, stage2_model
+from irsloc.stage2 import KroneckerCodewords, _scan_plan, build_scan_plan, stage2_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -128,6 +130,34 @@ def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
     for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
         monkeypatch.setattr(harness, name, trial_only)
     assert [attach_crb(cfg, 40.0) for cfg in configs] == expected
+
+
+def test_codebook_table_and_scan_plans_are_built_once_per_shape():
+    plan = build_scan_plan(UpaConfig(5, 3), 4, 6)
+    assert build_scan_plan(UpaConfig(5, 3), 4, 6) is plan
+    with pytest.raises(AttributeError):
+        plan.t2_y = 5
+    for a in (plan.mu_grid, plan.nu_grid, plan.codebook_y, plan.codebook_z):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=1)
+    assert len(cfg.p_bs_dbm_sweep) == 11
+    for cache in (_dft_table, _scan_plan, harness._permutations):
+        cache.cache_clear()
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        run_experiment(cfg)
+    for cache in (_dft_table, _scan_plan, harness._permutations):
+        assert cache.cache_info().misses == 1, cache
+
+
+def test_power_is_checked_outside_the_config_sweep():
+    cfg = tiny_config()
+    for p_dbm in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="transmit power"):
+            attach_crb(cfg, p_dbm)
+        with pytest.raises(InvalidArgumentError, match="transmit power"):
+            run_trial(cfg, p_dbm, 0)
 
 
 @pytest.mark.parametrize("t2", [7, 10, 30, 60])

@@ -56,8 +56,9 @@ def test_scan_codebooks_match_stacked_steering_vectors(cfg, t2_y, t2_z):
 
 
 def test_scan_plan_warns_below_three_beams():
-    with pytest.warns(UserWarning):
-        build_scan_plan(UpaConfig(4, 4), 2, 4)
+    for _ in range(2):  # the cached plan must not swallow the warning
+        with pytest.warns(UserWarning):
+            build_scan_plan(UpaConfig(4, 4), 2, 4)
     with pytest.raises(InvalidArgumentError):
         build_scan_plan(UpaConfig(4, 4), 0, 4)
 

@@ -11,8 +11,10 @@ The digest covers run_experiment rows and their TrialRecords (less
 wall_time_s, arrays hashed with dtype, shape and bytes) for every config
 below at base seeds 1000-1003, plus one t2 sweep and one area sweep.  The
 sqrt_crb_* bound columns are left out of the digest, since a reordered
-floating-point sum moves them in the last bits; --save-bounds writes them
-and --check-bounds compares them within BOUNDS_RTOL relative.
+floating-point sum moves them in the last bits; --save-bounds writes them,
+with a standalone attach_crb(cfg, p) (no power point) at every power of
+every matrix config, and --check-bounds compares them within BOUNDS_RTOL
+relative.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from irsloc.harness import (  # noqa: E402
     ExperimentConfig,
     TrialRecord,
+    attach_crb,
     run_area_sweep,
     run_experiment,
     run_t2_sweep,
@@ -96,13 +99,16 @@ def digest() -> tuple[str, dict[str, list[float]]]:
     for seed in SEEDS:
         for name, (path, overrides) in MATRIX.items():
             records: list[TrialRecord] = []
-            rows = run_experiment(_config(path, seed, **overrides), records)
+            cfg = _config(path, seed, **overrides)
+            rows = run_experiment(cfg, records)
             _feed(h, f"{name} {seed}")
             run_bounds = bounds.setdefault(f"{name} {seed}", [])
             for row in rows:
                 _feed_row(h, row, run_bounds)
             for record in records:
                 _feed_record(h, record)
+            bounds[f"{name} {seed} standalone"] = [
+                v for p in cfg.p_bs_dbm_sweep for _, v in sorted(attach_crb(cfg, p).items())]
         for name, rows in (
                 ("t2_sweep", run_t2_sweep(_config(SINGLE, seed), T2_VALUES, SWEEP_DBM)),
                 ("area_sweep", run_area_sweep(_config(SINGLE, seed), *AREA_CELLS, SWEEP_DBM))):
