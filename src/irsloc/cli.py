@@ -8,9 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrays import SpatialAnglePair, dft_codebook, upa_response, upa_response_derivatives
+from .arrays import SpatialAnglePair, upa_response, upa_response_derivatives
 from .channel import SceneGeometry, dbm_to_watts
-from .crb import crb_trace_stage1, fim_stage1, fim_stage1_white
+from .crb import fim_stage1, fim_stage1_white
 from .harness import (
     ExperimentConfig,
     attach_crb,
@@ -20,6 +20,7 @@ from .harness import (
     run_doa_snapshot,
     run_experiment,
     run_t2_sweep,
+    stage1_crb_trace,
     trial_seed,
 )
 from .localization import DoAPairObservation, construct_location
@@ -63,11 +64,7 @@ def _cmd_crb(args) -> int:
     for p_dbm in config.p_bs_dbm_sweep:
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(attach_crb(config, p_dbm))
-        if config.noise_var > 0:  # the trace for the codebook a run transmits; inf when singular
-            probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_dbm))
-            row["crb_trace_stage1"] = crb_trace_stage1(config.scene, probing, config.noise_var)
-        else:  # noiseless: a zero bound, as attach_crb reports
-            row["crb_trace_stage1"] = 0.0
+        row["crb_trace_stage1"] = stage1_crb_trace(config, p_dbm)
         rows.append(row)
     _emit(rows, None, args.out or config.output_path)
     return 0

@@ -13,13 +13,18 @@ The stage-2 FIMs need only the per-sample projections w^T q, w^T qdot_mu and
 w^T qdot_nu of the scan codewords onto the surface response; for Kronecker
 codewords these are products of per-axis beam gains, c_y^T u_y times
 c_z^T u_z, so no codeword of the surface's full length is formed.
+
+Every FIM depends on the transmit power only through scalars, so each fim_*
+is a factor build that never sees the power (path gains, responses, Grams,
+projection sums) followed by an assembly per power and codebook; a caller
+that keeps the factors of a scene pays only the assembly at each power.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +40,9 @@ from .errors import InvalidArgumentError, OracleFailureError
 from .stage2 import (
     KroneckerCodewords,
     beam_gains,
-    case1_amplitude,
-    case2_amplitude,
     composite_angle,
+    double_bounce_gain,
+    single_bounce_gain,
 )
 
 SINGULARITY_EIG_RATIO = 1e-12
@@ -91,6 +96,11 @@ CASE1_LABELS = ["mu", "nu", "re_alpha", "im_alpha"]
 CASE2_LABELS = ["mu_i2t", "nu_i2t", "mu_b2t", "nu_b2t", "re_alpha_tilde", "im_alpha_tilde"]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _centered_square_sum(n: int) -> float:
     k = np.arange(1, n + 1)
     return float(np.sum((n - 2 * k + 1) ** 2))
@@ -103,6 +113,36 @@ def _gaussian_fim(gram: np.ndarray, noise_var: float, labels: Sequence[str]) -> 
     return _finalize((2.0 / noise_var) * gram.real, labels)
 
 
+class Stage1Factors(NamedTuple):
+    """The power-independent part of the stage-1 FIM; arrays read-only."""
+
+    beta: complex        # BS-target-BS path gain
+    resp: np.ndarray     # (N_BS, 3) [a, adot_mu, adot_nu] at the target's DoA
+    gram: np.ndarray     # (3, 3) resp^H resp
+
+
+def stage1_factors(geometry: SceneGeometry, target_index: int = 0) -> Stage1Factors:
+    """Path gain, BS response with its derivatives, and their Gram, for assemble_stage1."""
+    beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
+    doa = geometry.bs_target_doa(target_index)
+    resp = np.stack([upa_response(doa, geometry.bs_upa),
+                     *upa_response_derivatives(doa, geometry.bs_upa)], axis=1)
+    return Stage1Factors(beta=beta, resp=_read_only(resp), gram=_read_only(resp.conj().T @ resp))
+
+
+def assemble_stage1(factors: Stage1Factors, probing: np.ndarray, noise_var: float) -> FimResult:
+    """The stage-1 FIM of fim_stage1 from its factors and an (N_BS, T1) probing codebook."""
+    beta = factors.beta
+    aw, dw_mu, dw_nu = factors.resp.T @ probing
+    zero = np.zeros_like(aw)
+    # coef[r, k] is the row that response r carries in Jacobian column k
+    coef = np.array([[beta * dw_mu, beta * dw_nu, aw, 1j * aw],
+                     [beta * aw, zero, zero, zero],
+                     [zero, beta * aw, zero, zero]])
+    gram = np.einsum("rs,rkt,slt->kl", factors.gram, coef.conj(), coef)
+    return _gaussian_fim(gram, noise_var, STAGE1_LABELS)
+
+
 def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
                target_index: int = 0) -> FimResult:
     """4x4 FIM over [mu_b2t, nu_b2t, Re beta, Im beta] from the Jacobian of the echo mean.
@@ -113,23 +153,13 @@ def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
     over the responses resp = [a, adot_mu, adot_nu] and length-T1 rows coef.
     Its Gram is then sum_{r,s} (resp_r^H resp_s) coef[r, k]^H coef[s, l], so
     neither the N_BS T1 x 4 Jacobian nor any N_BS x N_BS matrix is formed.
+    Only W and the noise enter after stage1_factors.
     """
     w = np.asarray(probing)
     n_bs = geometry.n_bs
     if w.ndim != 2 or w.shape[0] != n_bs:
         raise InvalidArgumentError(f"probing codebook must be ({n_bs}, T1), got {w.shape}")
-    beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
-    doa = geometry.bs_target_doa(target_index)
-    resp = np.stack([upa_response(doa, geometry.bs_upa),
-                     *upa_response_derivatives(doa, geometry.bs_upa)], axis=1)
-    aw, dw_mu, dw_nu = resp.T @ w
-    zero = np.zeros_like(aw)
-    # coef[r, k] is the row that response r carries in Jacobian column k
-    coef = np.array([[beta * dw_mu, beta * dw_nu, aw, 1j * aw],
-                     [beta * aw, zero, zero, zero],
-                     [zero, beta * aw, zero, zero]])
-    gram = np.einsum("rs,rkt,slt->kl", resp.conj().T @ resp, coef.conj(), coef)
-    return _gaussian_fim(gram, noise_var, STAGE1_LABELS)
+    return assemble_stage1(stage1_factors(geometry, target_index), w, noise_var)
 
 
 def fim_stage1_white(geometry: SceneGeometry, p_bs_watts: float, t1: int,
@@ -195,6 +225,66 @@ def _projections(cfg: UpaConfig, comp: SpatialAnglePair, codewords: Sequence[np.
     return gy[y] * gz[z], hy[y] * gz[z], gy[y] * hz[z]
 
 
+class Case1Factors(NamedTuple):
+    """The power-independent part of the double-bounce FIM: path gains and scan sums.
+
+    With s0 = (w^T q)^2 and s_mu, s_nu = 2 (w^T q)(w^T qdot_mu, nu) per sample,
+    the sums run over the scan.
+    """
+
+    n_bs: int
+    b_b2i: complex
+    b_iti: complex
+    mu_mu: float     # sum |s_mu|^2
+    nu_nu: float     # sum |s_nu|^2
+    mu_nu: float     # Re sum conj(s_mu) s_nu
+    mu_0: complex    # sum conj(s_mu) s0
+    nu_0: complex    # sum conj(s_nu) s0
+    s0_s0: float     # sum |s0|^2
+
+
+def case1_factors(geometry: SceneGeometry, irs_index: int, target_index: int,
+                  irs_codewords: Sequence[np.ndarray]) -> Case1Factors:
+    """Path gains and projection sums of the scan, for assemble_case1."""
+    cfg = geometry.irs_upa[irs_index]
+    comp = composite_angle(geometry, irs_index, target_index)
+    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
+    s0 = wq**2
+    s_mu = 2.0 * wq * wq_mu
+    s_nu = 2.0 * wq * wq_nu
+    return Case1Factors(
+        n_bs=geometry.n_bs,
+        b_b2i=path_gain(PathKind.B2I, geometry, irs_index=irs_index).value,
+        b_iti=path_gain(PathKind.ITI, geometry, irs_index=irs_index,
+                        target_index=target_index).value,
+        mu_mu=float(np.sum(np.abs(s_mu) ** 2)),
+        nu_nu=float(np.sum(np.abs(s_nu) ** 2)),
+        mu_nu=float(np.sum(np.conj(s_mu) * s_nu).real),
+        mu_0=complex(np.sum(np.conj(s_mu) * s0)),
+        nu_0=complex(np.sum(np.conj(s_nu) * s0)),
+        s0_s0=float(np.sum(np.abs(s0) ** 2)),
+    )
+
+
+def assemble_case1(factors: Case1Factors, noise_var: float, p_bs_watts: float) -> FimResult:
+    """The double-bounce FIM of fim_stage2_case1 from its factors; noise_var must be positive."""
+    alpha = double_bounce_gain(factors.n_bs, factors.b_b2i, factors.b_iti, p_bs_watts)
+    c = 2.0 / (noise_var * factors.n_bs)
+    aa2 = abs(alpha) ** 2
+    f = np.zeros((4, 4))
+    f[0, 0] = c * aa2 * factors.mu_mu
+    f[1, 1] = c * aa2 * factors.nu_nu
+    f[0, 1] = f[1, 0] = c * aa2 * factors.mu_nu
+    z_mu = np.conj(alpha) * factors.mu_0
+    z_nu = np.conj(alpha) * factors.nu_0
+    f[0, 2:] = c * np.array([z_mu.real, -z_mu.imag])
+    f[1, 2:] = c * np.array([z_nu.real, -z_nu.imag])
+    f[2:, 0] = f[0, 2:]
+    f[2:, 1] = f[1, 2:]
+    f[2:, 2:] = c * factors.s0_s0 * np.eye(2)
+    return _finalize(f, CASE1_LABELS)
+
+
 def fim_stage2_case1(geometry: SceneGeometry, irs_index: int, target_index: int,
                      irs_codewords: Sequence[np.ndarray], noise_var: float,
                      p_bs_watts: float = 1.0) -> FimResult:
@@ -203,33 +293,65 @@ def fim_stage2_case1(geometry: SceneGeometry, irs_index: int, target_index: int,
     The mean of sample t is alpha (w_t^T q)^2, so its derivatives are
     2 (w_t^T q)(w_t^T qdot) and (w_t^T q)^2: the FIM is sums over the scan of
     products of the three projections.  Kronecker codewords give those as
-    per-axis beam gains; other sequences are projected densely.
+    per-axis beam gains; other sequences are projected densely.  The sums
+    and path gains are case1_factors; the power enters only through alpha.
     """
     if noise_var <= 0:
         raise InvalidArgumentError("noise variance must be positive")
+    return assemble_case1(case1_factors(geometry, irs_index, target_index, irs_codewords),
+                          noise_var, p_bs_watts)
+
+
+class Case2Factors(NamedTuple):
+    """The power-independent part of the single-bounce FIM; arrays read-only."""
+
+    n_bs: int
+    b_b2i: complex
+    b_bti: complex
+    b: complex                       # a_irs^H a, the BS beam-mismatch scalar
+    db_mu: complex                   # a_irs^H adot_mu
+    db_nu: complex                   # a_irs^H adot_nu
+    wq: np.ndarray                   # (samples,) w^T q
+    wq_mu: np.ndarray                # (samples,) w^T qdot_mu
+    wq_nu: np.ndarray                # (samples,) w^T qdot_nu
+
+
+def case2_factors(geometry: SceneGeometry, irs_index: int, target_index: int,
+                  irs_codewords: Sequence[np.ndarray]) -> Case2Factors:
+    """Path gains, BS beam-mismatch scalars and per-sample projections, for assemble_case2."""
     cfg = geometry.irs_upa[irs_index]
     comp = composite_angle(geometry, irs_index, target_index)
     wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
-    alpha = case1_amplitude(geometry, irs_index, target_index, p_bs_watts)
+    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
+    bs_doa = geometry.bs_target_doa(target_index)
+    da_mu, da_nu = upa_response_derivatives(bs_doa, geometry.bs_upa)
+    return Case2Factors(
+        n_bs=geometry.n_bs,
+        b_b2i=path_gain(PathKind.B2I, geometry, irs_index=irs_index).value,
+        b_bti=path_gain(PathKind.BTI, geometry, irs_index=irs_index,
+                        target_index=target_index).value,
+        b=complex(np.vdot(a_irs, upa_response(bs_doa, geometry.bs_upa))),
+        db_mu=complex(np.vdot(a_irs, da_mu)),
+        db_nu=complex(np.vdot(a_irs, da_nu)),
+        wq=_read_only(wq), wq_mu=_read_only(wq_mu), wq_nu=_read_only(wq_nu),
+    )
 
-    s0 = wq**2
-    s_mu = 2.0 * wq * wq_mu
-    s_nu = 2.0 * wq * wq_nu
 
-    c = 2.0 / (noise_var * geometry.n_bs)
-    aa2 = abs(alpha) ** 2
-    f = np.zeros((4, 4))
-    f[0, 0] = c * aa2 * float(np.sum(np.abs(s_mu) ** 2))
-    f[1, 1] = c * aa2 * float(np.sum(np.abs(s_nu) ** 2))
-    f[0, 1] = f[1, 0] = c * aa2 * float(np.sum(np.conj(s_mu) * s_nu).real)
-    z_mu = np.conj(alpha) * complex(np.sum(np.conj(s_mu) * s0))
-    z_nu = np.conj(alpha) * complex(np.sum(np.conj(s_nu) * s0))
-    f[0, 2:] = c * np.array([z_mu.real, -z_mu.imag])
-    f[1, 2:] = c * np.array([z_nu.real, -z_nu.imag])
-    f[2:, 0] = f[0, 2:]
-    f[2:, 1] = f[1, 2:]
-    f[2:, 2:] = c * float(np.sum(np.abs(s0) ** 2)) * np.eye(2)
-    return _finalize(f, CASE1_LABELS)
+def assemble_case2(factors: Case2Factors, noise_var: float, p_bs_watts: float) -> FimResult:
+    """The single-bounce FIM of fim_stage2_case2 from its factors."""
+    alpha_t = single_bounce_gain(factors.n_bs, factors.b_b2i, factors.b_bti, p_bs_watts)
+    b, wq = factors.b, factors.wq
+    cols = [
+        alpha_t * b * factors.wq_mu,
+        alpha_t * b * factors.wq_nu,
+        alpha_t * factors.db_mu * wq,
+        alpha_t * factors.db_nu * wq,
+        b * wq,
+        1j * b * wq,
+    ]
+    jac = np.stack(cols, axis=1)
+    # the matched filter's noise is CN(0, N_BS sigma^2) per sample
+    return _gaussian_fim(jac.conj().T @ jac, noise_var * factors.n_bs, CASE2_LABELS)
 
 
 def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
@@ -239,30 +361,11 @@ def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
 
     Mean alpha_tilde * b * w_t^T q, with b the BS beam-mismatch scalar; the
     angle derivatives split into w_t^T qdot terms and bdot scalars, so the
-    FIM again needs only the three per-sample projections of the scan.
+    FIM again needs only the three per-sample projections of the scan, which
+    case2_factors keeps with b and bdot; the power enters only through alpha_tilde.
     """
-    cfg = geometry.irs_upa[irs_index]
-    comp = composite_angle(geometry, irs_index, target_index)
-    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
-    alpha_t, b = case2_amplitude(geometry, irs_index, target_index, p_bs_watts)
-
-    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-    bs_doa = geometry.bs_target_doa(target_index)
-    da_mu, da_nu = upa_response_derivatives(bs_doa, geometry.bs_upa)
-    db_mu = complex(np.vdot(a_irs, da_mu))
-    db_nu = complex(np.vdot(a_irs, da_nu))
-
-    cols = [
-        alpha_t * b * wq_mu,
-        alpha_t * b * wq_nu,
-        alpha_t * db_mu * wq,
-        alpha_t * db_nu * wq,
-        b * wq,
-        1j * b * wq,
-    ]
-    jac = np.stack(cols, axis=1)
-    # the matched filter's noise is CN(0, N_BS sigma^2) per sample
-    return _gaussian_fim(jac.conj().T @ jac, noise_var * geometry.n_bs, CASE2_LABELS)
+    return assemble_case2(case2_factors(geometry, irs_index, target_index, irs_codewords),
+                          noise_var, p_bs_watts)
 
 
 def fim_finite_difference_oracle(mean_fn: Callable[[np.ndarray], np.ndarray],

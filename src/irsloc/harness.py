@@ -25,7 +25,18 @@ import yaml
 
 from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
 from .channel import SceneGeometry, dbm_to_watts
-from .crb import fim_stage1, fim_stage2_case1, fim_stage2_case2
+# fim_stage1, fim_stage2_case1/case2: unused, but perfbench traces them by name here
+from .crb import (
+    assemble_case1,
+    assemble_case2,
+    assemble_stage1,
+    case1_factors,
+    case2_factors,
+    fim_stage1,
+    fim_stage2_case1,
+    fim_stage2_case2,
+    stage1_factors,
+)
 from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
@@ -263,6 +274,23 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
+def _scene_key(scene: SceneGeometry) -> tuple:
+    """The scene's values as an immutable tuple, the key of the per-scene caches below.
+
+    A scene is a mutable dataclass that callers may edit in place, so those
+    caches key on this snapshot, never on the object, and build from the scene
+    that _scene_of rebuilds from it.
+    """
+    return (scene.bs, tuple(scene.irs), tuple(scene.targets), scene.bs_upa,
+            tuple(scene.irs_upa), scene.carrier_freq_hz, tuple(scene.rcs_dbsm))
+
+
+def _scene_of(key: tuple) -> SceneGeometry:
+    bs, irs, targets, bs_upa, irs_upa, carrier, rcs = key
+    return SceneGeometry(bs=bs, irs=list(irs), targets=list(targets), bs_upa=bs_upa,
+                         irs_upa=list(irs_upa), carrier_freq_hz=carrier, rcs_dbsm=list(rcs))
+
+
 def _scene_truth(scene: SceneGeometry):
     k = len(scene.targets)
     m = len(scene.irs)
@@ -273,15 +301,26 @@ def _scene_truth(scene: SceneGeometry):
     return bs, irs, pos
 
 
+@functools.lru_cache(maxsize=16)
+def _scene_invariants(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Read-only true BS angles, surface angles and positions, and the regime, of one scene."""
+    scene = _scene_of(key)
+    truth = _scene_truth(scene)
+    for a in truth:
+        a.setflags(write=False)
+    return (*truth, classify_regime(scene, 0, 0).regime.value)
+
+
 @dataclass(frozen=True)
 class PowerPoint:
     """What the trials of one power point share, built once so that a trial only draws and estimates.
 
     The probing codebook and the scan plans come from tables cached per
-    shape for the process; the rest is the scene's: the noiseless stage-1
-    snapshots, each surface's noiseless scan samples over its whole beam
-    grid, the true angles and positions, and the regime.  The arrays are
-    read-only, since one value serves every trial of the point.
+    shape for the process, and the true angles and positions and the regime
+    from a cache per scene, since none depends on the power; the rest is the
+    scene's at this power: the noiseless stage-1 snapshots and each
+    surface's noiseless scan samples over its whole beam grid.  The arrays
+    are read-only, since one value serves every trial of the point.
     """
 
     probing: np.ndarray
@@ -297,20 +336,20 @@ class PowerPoint:
 def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
     """Build the per-power-point invariants once, for every trial at p_bs_dbm.
 
-    The codebook and plans come from their builders' per-shape caches.
-    Raises IrslocError when the scene itself is degenerate, e.g. a target
-    on a surface.
+    The codebook and plans come from their builders' per-shape caches, the
+    truth and regime from _scene_invariants, once per scene.  Raises
+    IrslocError when the scene itself is degenerate, e.g. a target on a
+    surface.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
     probing = dft_codebook(scene.n_bs, config.t1, p_watts)
     plans = tuple(build_scan_plan(u, config.t2_y, config.t2_z) for u in scene.irs_upa)
-    true_bs, true_irs, true_pos = _scene_truth(scene)
-    regime = classify_regime(scene, 0, 0).regime.value
+    true_bs, true_irs, true_pos, regime = _scene_invariants(_scene_key(scene))
     echo = stage1_echo(scene, probing)
     models = tuple(stage2_model(scene, i, plan, config.stage2_mode, p_watts)
                    for i, plan in enumerate(plans))
-    for a in (probing, echo, *models, true_bs, true_irs, true_pos):
+    for a in (probing, echo, *models):
         a.setflags(write=False)
     return PowerPoint(probing=probing, plans=plans, echo=echo, models=models,
                       true_bs_doas=true_bs, true_irs_doas=true_irs, true_positions=true_pos,
@@ -372,6 +411,32 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     return record
 
 
+@functools.lru_cache(maxsize=16)
+def _bound_factors(key: tuple, t2_y: int, t2_z: int, joint_scan: bool,
+                   stage2_mode: Stage2Mode) -> tuple:
+    """Read-only power-independent factors of both bounds of one scene: (stage 1, stage 2).
+
+    The stage-2 bound takes the first surface's scan codewords as Kronecker
+    factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
+    the strongest |g_y| at target 0's composite angle, as synthesis sends it.
+    """
+    scene = _scene_of(key)
+    plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
+    if joint_scan:
+        words = joint_codewords(plan)
+    else:
+        gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
+                           plan.codebook_y, plan.codebook_z)
+        words = sequential_codewords(plan, int(np.argmax(np.abs(gy))))
+    stage2 = case2_factors if stage2_mode is Stage2Mode.CASE2_APPROX else case1_factors
+    return stage1_factors(scene), stage2(scene, 0, 0, words)
+
+
+def _factors(config: ExperimentConfig) -> tuple:
+    return _bound_factors(_scene_key(config.scene), config.t2_y, config.t2_z,
+                          config.joint_scan, config.stage2_mode)
+
+
 def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
                point: PowerPoint | None = None) -> dict:
     """Bound columns for one power point, straight from the closed forms.
@@ -379,33 +444,26 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     The stage-1 bound takes the Jacobian of the echo mean against the codebook
     actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
-    The stage-2 bound takes the first surface's scan codewords as Kronecker
-    factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
-    the strongest |g_y| at target 0's composite angle, as synthesis sends it.
-    point, when given, is the power point's codebook and plans; without it
-    only those are fetched from their builders, never a trial's echo or models.
+    The stage-2 bound is the first surface's scan toward target 0.  Both are
+    assembled from factors cached per scene and scan (_bound_factors), so a
+    call pays only the power's scalings and the small FIMs once its scene has
+    been seen.  point, when given, supplies the probing codebook; without it
+    the codebook comes from its builder, never a trial's echo or models.
     """
-    scene = config.scene
-    p_watts = dbm_to_watts(p_bs_dbm)
     noise_var = config.noise_var
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    probing, plan = ((dft_codebook(scene.n_bs, config.t1, p_watts),
-                      build_scan_plan(scene.irs_upa[0], config.t2_y, config.t2_z))
-                     if point is None else (point.probing, point.plans[0]))
-    s1 = fim_stage1(scene, probing, noise_var)
-    if config.joint_scan:
-        words = joint_codewords(plan)
-    else:
-        gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
-                           plan.codebook_y, plan.codebook_z)
-        words = sequential_codewords(plan, int(np.argmax(np.abs(gy))))
+    p_watts = dbm_to_watts(p_bs_dbm)
+    probing = (dft_codebook(config.scene.n_bs, config.t1, p_watts) if point is None
+               else point.probing)
+    stage1, stage2 = _factors(config)
+    s1 = assemble_stage1(stage1, probing, noise_var)
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
-        s2 = fim_stage2_case2(scene, 0, 0, words, noise_var, p_watts)
+        s2 = assemble_case2(stage2, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"
     else:
-        s2 = fim_stage2_case1(scene, 0, 0, words, noise_var, p_watts)
+        s2 = assemble_case1(stage2, noise_var, p_watts)
         mu_key, nu_key = "mu", "nu"
     return {
         "sqrt_crb_mu_b2t": float(np.sqrt(s1.crb("mu_b2t"))),
@@ -413,6 +471,18 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
         "sqrt_crb_mu_irs": float(np.sqrt(s2.crb(mu_key))),
         "sqrt_crb_nu_irs": float(np.sqrt(s2.crb(nu_key))),
     }
+
+
+def stage1_crb_trace(config: ExperimentConfig, p_bs_dbm: float) -> float:
+    """Trace of the inverse stage-1 FIM for the DFT codebook sent at p_bs_dbm.
+
+    The crb_trace_stage1 value from attach_crb's cached factors: +inf when the
+    FIM is singular, and 0.0 in the noiseless limit, as attach_crb reports.
+    """
+    if config.noise_var <= 0:
+        return 0.0
+    probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_bs_dbm))
+    return float(np.sum(assemble_stage1(_factors(config)[0], probing, config.noise_var).crb_diag))
 
 
 def aggregate_trials(records: list[TrialRecord]) -> dict:

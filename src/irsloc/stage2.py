@@ -167,23 +167,31 @@ def composite_angle(geometry: SceneGeometry, irs_index: int, target_index: int) 
 def case1_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
                     p_bs_watts: float) -> complex:
     """alpha = sqrt(P N_BS) N_BS beta_B2I^2 beta_ITI (double-bounce scalar gain)."""
-    n_bs = geometry.n_bs
     b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index).value
     b_iti = path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index).value
+    return double_bounce_gain(geometry.n_bs, b_b2i, b_iti, p_bs_watts)
+
+
+def double_bounce_gain(n_bs: int, b_b2i: complex, b_iti: complex, p_bs_watts: float) -> complex:
+    """alpha = sqrt(P N_BS) N_BS beta_B2I^2 beta_ITI from the power-independent path gains."""
     return np.sqrt(p_bs_watts * n_bs) * n_bs * b_b2i**2 * b_iti
 
 
 def case2_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
                     p_bs_watts: float) -> tuple[complex, complex]:
     """(alpha_tilde, b): single-bounce scalar gain and the BS beam-mismatch factor."""
-    n_bs = geometry.n_bs
     b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index).value
     b_bti = path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index).value
-    alpha_t = 2.0 * np.sqrt(p_bs_watts * n_bs) * b_b2i * b_bti
+    alpha_t = single_bounce_gain(geometry.n_bs, b_b2i, b_bti, p_bs_watts)
     a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
     a_tgt = upa_response(geometry.bs_target_doa(target_index), geometry.bs_upa)
     b = complex(np.vdot(a_irs, a_tgt))
     return alpha_t, b
+
+
+def single_bounce_gain(n_bs: int, b_b2i: complex, b_bti: complex, p_bs_watts: float) -> complex:
+    """alpha_tilde = 2 sqrt(P N_BS) beta_B2I beta_BTI from the power-independent path gains."""
+    return 2.0 * np.sqrt(p_bs_watts * n_bs) * b_b2i * b_bti
 
 
 def beam_gains(cfg: UpaConfig, comp: SpatialAnglePair, codebook_y: np.ndarray,

@@ -36,12 +36,18 @@ from irsloc.harness import (
     run_doa_snapshot,
     run_t2_sweep,
 )
-from irsloc.arrays import _dft_table
+from irsloc.arrays import _dft_table, dft_codebook
 from irsloc.channel import dbm_to_watts
-from irsloc.crb import fim_stage2_case1, fim_stage2_case2
+from irsloc.crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
 from irsloc.localization import DoAPairObservation, construct_location
 from irsloc.stage1 import _steering_table
-from irsloc.stage2 import KroneckerCodewords, _scan_plan, build_scan_plan, stage2_model
+from irsloc.stage2 import (
+    KroneckerCodewords,
+    _scan_plan,
+    build_scan_plan,
+    joint_codewords,
+    stage2_model,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -142,12 +148,15 @@ def test_codebook_table_and_scan_plans_are_built_once_per_shape():
             a[0] = 0
     cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=1)
     assert len(cfg.p_bs_dbm_sweep) == 11
-    for cache in (_dft_table, _scan_plan, harness._permutations):
+    # the per-scene truth, regime and bound factors are built once per sweep, too
+    caches = (_dft_table, _scan_plan, harness._permutations, harness._scene_invariants,
+              harness._bound_factors)
+    for cache in caches:
         cache.cache_clear()
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
         warnings.simplefilter("ignore")
         run_experiment(cfg)
-    for cache in (_dft_table, _scan_plan, harness._permutations):
+    for cache in caches:
         assert cache.cache_info().misses == 1, cache
 
 
@@ -160,25 +169,76 @@ def test_power_is_checked_outside_the_config_sweep():
             run_trial(cfg, p_dbm, 0)
 
 
-@pytest.mark.parametrize("t2", [7, 10, 30, 60])
-@pytest.mark.parametrize("mode", ["case1", "case2", "full"])
-def test_sequential_bound_holds_the_sent_y_beam(mode, t2):
-    # the z sweep holds the noiseless y-sweep peak, as synthesize_stage2 sends it
-    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")),
-                  stage2_mode=mode, t2_y=t2, t2_z=t2)
-    p_watts = dbm_to_watts(0.0)
-    plan = build_scan_plan(cfg.scene.irs_upa[0], t2, t2)
+def sent_codewords(cfg, p_watts):
+    """The first surface's codewords as a scan sends them: a sequential z sweep holds the
+    noiseless y-sweep peak, as synthesize_stage2 picks it."""
+    plan = build_scan_plan(cfg.scene.irs_upa[0], cfg.t2_y, cfg.t2_z)
+    if cfg.joint_scan:
+        return joint_codewords(plan)
     model = stage2_model(cfg.scene, 0, plan, cfg.stage2_mode, p_watts)
     hold_y = int(np.argmax(np.abs(model[:, plan.hold_z_index]) ** 2))
-    sent = KroneckerCodewords(plan.codebook_y, plan.codebook_z,
-                              np.r_[np.arange(t2), np.full(t2, hold_y)],
-                              np.r_[np.full(t2, plan.hold_z_index), np.arange(t2)])
-    fim, keys = ((fim_stage2_case2, ("mu_i2t", "nu_i2t")) if mode == "case2"
+    return KroneckerCodewords(plan.codebook_y, plan.codebook_z,
+                              np.r_[np.arange(cfg.t2_y), np.full(cfg.t2_z, hold_y)],
+                              np.r_[np.full(cfg.t2_y, plan.hold_z_index), np.arange(cfg.t2_z)])
+
+
+def public_bounds(cfg, p_dbm):
+    """attach_crb's columns composed from the public FIMs, for the codebooks a run sends."""
+    p_watts = dbm_to_watts(p_dbm)
+    probing = dft_codebook(cfg.scene.n_bs, cfg.t1, p_watts)
+    s1 = fim_stage1(cfg.scene, probing, cfg.noise_var)
+    fim, keys = ((fim_stage2_case2, ("mu_i2t", "nu_i2t")) if cfg.stage2_mode.value == "case2"
                  else (fim_stage2_case1, ("mu", "nu")))
-    result = fim(cfg.scene, 0, 0, sent, cfg.noise_var, p_watts)
-    bounds = attach_crb(cfg, 0.0)
-    assert bounds["sqrt_crb_mu_irs"] == float(np.sqrt(result.crb(keys[0])))
-    assert bounds["sqrt_crb_nu_irs"] == float(np.sqrt(result.crb(keys[1])))
+    s2 = fim(cfg.scene, 0, 0, sent_codewords(cfg, p_watts), cfg.noise_var, p_watts)
+    return {"sqrt_crb_mu_b2t": float(np.sqrt(s1.crb("mu_b2t"))),
+            "sqrt_crb_nu_b2t": float(np.sqrt(s1.crb("nu_b2t"))),
+            "sqrt_crb_mu_irs": float(np.sqrt(s2.crb(keys[0]))),
+            "sqrt_crb_nu_irs": float(np.sqrt(s2.crb(keys[1])))}
+
+
+# sequential scans keep their plain ids; joint scans add the factored bound of a full grid
+SENT_SCANS = [pytest.param(mode, t2, joint, id=f"{mode}-{t2}" + ("-joint" if joint else ""))
+              for joint, beams in ((False, (7, 10, 30, 60)), (True, (10, 30)))
+              for mode in ("case1", "case2", "full") for t2 in beams]
+
+
+@pytest.mark.parametrize("mode, t2, joint", SENT_SCANS)
+def test_sequential_bound_holds_the_sent_y_beam(mode, t2, joint):
+    # bounds assembled from cached factors equal the public FIMs bit for bit at every power
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")),
+                  stage2_mode=mode, t2_y=t2, t2_z=t2, joint_scan=joint)
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        for p_dbm in (-10.0, 0.0, 25.0, 40.0):
+            assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm), p_dbm
+
+
+def test_bound_factors_follow_in_place_scene_edits():
+    cfg = ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml"))
+    harness._bound_factors.cache_clear()
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        cold = attach_crb(cfg, 10.0)
+        assert attach_crb(cfg, 10.0) == cold == public_bounds(cfg, 10.0)
+        assert harness._bound_factors.cache_info().misses == 1
+        stage1, _ = harness._factors(cfg)
+        for a in (stage1.resp, stage1.gram):
+            assert not a.flags.writeable
+        _, case2 = harness._factors(replace(cfg, stage2_mode="case2"))
+        for a in (case2.wq, case2.wq_mu, case2.wq_nu):
+            assert not a.flags.writeable
+        target = cfg.scene.targets[0]
+        for edit in (lambda scene: scene.rcs_dbsm.__setitem__(0, 10.0),
+                     lambda scene: scene.targets.__setitem__(
+                         0, Position3(target.x + 3.0, target.y - 2.0, target.z + 1.0))):
+            edit(cfg.scene)
+            for p_dbm in (10.0, 30.0):
+                assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm)
+            assert attach_crb(cfg, 10.0) != cold
+            cold = attach_crb(cfg, 10.0)
+            probing = dft_codebook(cfg.scene.n_bs, cfg.t1, dbm_to_watts(30.0))
+            assert harness.stage1_crb_trace(cfg, 30.0) == crb_trace_stage1(
+                cfg.scene, probing, cfg.noise_var)
 
 
 def test_run_reruns_byte_identical_csv(tmp_path):

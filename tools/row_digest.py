@@ -13,26 +13,33 @@ below at base seeds 1000-1003, plus one t2 sweep and one area sweep.  The
 sqrt_crb_* bound columns are left out of the digest, since a reordered
 floating-point sum moves them in the last bits; --save-bounds writes them,
 with a standalone attach_crb(cfg, p) (no power point) at every power of
-every matrix config, and --check-bounds compares them within BOUNDS_RTOL
-relative.
+every matrix config and the `irsloc crb` table of every matrix config (its
+four bound columns and crb_trace_stage1 for the DFT codebook sent at each
+power), and --check-bounds compares them within BOUNDS_RTOL relative.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from irsloc.cli import main as irsloc_main  # noqa: E402
 from irsloc.harness import (  # noqa: E402
     ExperimentConfig,
     TrialRecord,
@@ -92,10 +99,25 @@ def _feed_record(h, record: TrialRecord) -> None:
             _feed(h, getattr(record, f.name))
 
 
+def crb_table(path: str, overrides: dict) -> list[float]:
+    """Every value of the `irsloc crb` table of one matrix config, row by row."""
+    raw = {**yaml.safe_load((ROOT / path).read_text()), **overrides, "output_path": None}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.yaml", Path(tmp) / "crb.csv"
+        config.write_text(yaml.safe_dump(raw))
+        with contextlib.redirect_stdout(io.StringIO()):  # its "wrote N rows" line
+            status = irsloc_main(["crb", str(config), "--out", str(out)])
+        if status != 0:
+            raise SystemExit(f"irsloc crb failed on {path} with {overrides}")
+        with open(out, newline="") as fh:
+            return [float(v) for row in csv.DictReader(fh) for _, v in sorted(row.items())]
+
+
 def digest() -> tuple[str, dict[str, list[float]]]:
     """The sha256 hex digest over the matrix, and the bound columns per run."""
     h = hashlib.sha256()
-    bounds: dict[str, list[float]] = {}
+    bounds = {f"{name} irsloc crb": crb_table(path, overrides)
+              for name, (path, overrides) in MATRIX.items()}
     for seed in SEEDS:
         for name, (path, overrides) in MATRIX.items():
             records: list[TrialRecord] = []
