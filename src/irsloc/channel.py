@@ -11,7 +11,7 @@ Frobenius norms), and `irsloc validate` checks the effective channel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,26 +50,28 @@ class PathGain:
     kind: PathKind
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneGeometry:
-    """Sites, arrays, and RF constants for one localization scene."""
+    """Sites, arrays, and RF constants for one localization scene; frozen, lists become tuples."""
 
     bs: Position3
-    irs: list[Position3]
-    targets: list[Position3]
+    irs: tuple[Position3, ...]
+    targets: tuple[Position3, ...]
     bs_upa: UpaConfig
-    irs_upa: list[UpaConfig]
+    irs_upa: tuple[UpaConfig, ...]
     carrier_freq_hz: float = 750e6
-    rcs_dbsm: list[float] = field(default_factory=list)
+    rcs_dbsm: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name in ("irs", "targets", "irs_upa", "rcs_dbsm"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not (np.isfinite(self.carrier_freq_hz) and self.carrier_freq_hz > 0):
             raise InvalidArgumentError(
                 f"carrier frequency {self.carrier_freq_hz} must be finite and positive")
         if len(self.irs_upa) != len(self.irs):
             raise InvalidArgumentError("need one UPA config per reflecting surface")
         if not self.rcs_dbsm:
-            self.rcs_dbsm = [7.0] * len(self.targets)
+            object.__setattr__(self, "rcs_dbsm", (7.0,) * len(self.targets))
         if len(self.rcs_dbsm) != len(self.targets):
             raise InvalidArgumentError("need one RCS value per target")
         if not np.all(np.isfinite(self.rcs_dbsm)):

@@ -182,7 +182,9 @@ class ExperimentConfig:
         _required(scene_raw, ("bs", "irs", "targets", "bs_upa", "irs_upa"), "scene")
         carrier = scene_raw.get("carrier_freq_hz", 750e6)
         try:
-            carrier = float(carrier)
+            if isinstance(carrier, bool):  # float(True) would be a 1 Hz carrier
+                raise TypeError(carrier)
+            carrier = float(carrier)  # also a string such as "750e6", as PyYAML reads it
         except (TypeError, ValueError):
             raise InvalidArgumentError(
                 f"scene.carrier_freq_hz {carrier!r} must be a number") from None
@@ -274,23 +276,6 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
-def _scene_key(scene: SceneGeometry) -> tuple:
-    """The scene's values as an immutable tuple, the key of the per-scene caches below.
-
-    A scene is a mutable dataclass that callers may edit in place, so those
-    caches key on this snapshot, never on the object, and build from the scene
-    that _scene_of rebuilds from it.
-    """
-    return (scene.bs, tuple(scene.irs), tuple(scene.targets), scene.bs_upa,
-            tuple(scene.irs_upa), scene.carrier_freq_hz, tuple(scene.rcs_dbsm))
-
-
-def _scene_of(key: tuple) -> SceneGeometry:
-    bs, irs, targets, bs_upa, irs_upa, carrier, rcs = key
-    return SceneGeometry(bs=bs, irs=list(irs), targets=list(targets), bs_upa=bs_upa,
-                         irs_upa=list(irs_upa), carrier_freq_hz=carrier, rcs_dbsm=list(rcs))
-
-
 def _scene_truth(scene: SceneGeometry):
     k = len(scene.targets)
     m = len(scene.irs)
@@ -301,10 +286,9 @@ def _scene_truth(scene: SceneGeometry):
     return bs, irs, pos
 
 
-@functools.lru_cache(maxsize=16)
-def _scene_invariants(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+@functools.lru_cache(maxsize=16)  # a scene is immutable and hashable: its own key
+def _scene_invariants(scene: SceneGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Read-only true BS angles, surface angles and positions, and the regime, of one scene."""
-    scene = _scene_of(key)
     truth = _scene_truth(scene)
     for a in truth:
         a.setflags(write=False)
@@ -316,9 +300,8 @@ class PowerPoint:
     """What the trials of one power point share, built once so that a trial only draws and estimates.
 
     The probing codebook and the scan plans come from tables cached per
-    shape for the process, and the true angles and positions and the regime
-    from a cache per scene, since none depends on the power; the rest is the
-    scene's at this power: the noiseless stage-1 snapshots and each
+    shape for the process, since neither depends on the scene; the rest is
+    the scene's at this power: the noiseless stage-1 snapshots and each
     surface's noiseless scan samples over its whole beam grid.  The arrays
     are read-only, since one value serves every trial of the point.
     """
@@ -327,33 +310,25 @@ class PowerPoint:
     plans: tuple[IrsScanPlan, ...]
     echo: np.ndarray                 # (N_BS, T1), stage1_echo
     models: tuple[np.ndarray, ...]   # (t2_y, t2_z) per surface, stage2_model
-    true_bs_doas: np.ndarray         # (K, 2)
-    true_irs_doas: np.ndarray        # (M, K, 2)
-    true_positions: np.ndarray       # (K, 3)
-    regime: str
 
 
 def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
     """Build the per-power-point invariants once, for every trial at p_bs_dbm.
 
-    The codebook and plans come from their builders' per-shape caches, the
-    truth and regime from _scene_invariants, once per scene.  Raises
-    IrslocError when the scene itself is degenerate, e.g. a target on a
-    surface.
+    The codebook and plans come from their builders' per-shape caches.
+    Raises IrslocError when the scene itself is degenerate, e.g. a target on
+    a surface.
     """
     scene = config.scene
     p_watts = dbm_to_watts(p_bs_dbm)
     probing = dft_codebook(scene.n_bs, config.t1, p_watts)
     plans = tuple(build_scan_plan(u, config.t2_y, config.t2_z) for u in scene.irs_upa)
-    true_bs, true_irs, true_pos, regime = _scene_invariants(_scene_key(scene))
     echo = stage1_echo(scene, probing)
     models = tuple(stage2_model(scene, i, plan, config.stage2_mode, p_watts)
                    for i, plan in enumerate(plans))
     for a in (probing, echo, *models):
         a.setflags(write=False)
-    return PowerPoint(probing=probing, plans=plans, echo=echo, models=models,
-                      true_bs_doas=true_bs, true_irs_doas=true_irs, true_positions=true_pos,
-                      regime=regime)
+    return PowerPoint(probing=probing, plans=plans, echo=echo, models=models)
 
 
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
@@ -362,17 +337,18 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
 
     point carries the invariants shared by the power point's trials, so the
     trial only draws noise and estimates; a trial run alone builds its own.
+    The truth and regime come from _scene_invariants, once per scene.
     Estimation failures are recorded in the returned record; a degenerate
-    scene raises IrslocError from the point's construction.
+    scene raises IrslocError before any estimate.
     """
+    scene = config.scene
+    true_bs, true_irs, true_pos, regime = _scene_invariants(scene)
     if point is None:
         point = power_point(config, p_bs_dbm)
-    scene = config.scene
     k = config.n_targets
     m = len(scene.irs)
     p_watts = dbm_to_watts(p_bs_dbm)
     noise_var = config.noise_var
-    true_bs, true_irs, true_pos = point.true_bs_doas, point.true_irs_doas, point.true_positions
     start = time.perf_counter()
 
     children = np.random.SeedSequence(seed).spawn(1 + m)
@@ -383,7 +359,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         true_bs_doas=true_bs, est_bs_doas=None,
         true_irs_doas=true_irs, est_irs_doas=None,
         true_positions=true_pos, est_positions=None,
-        regime=point.regime, wall_time_s=0.0,
+        regime=regime, wall_time_s=0.0,
     )
     try:
         block = synthesize_stage1(scene, point.probing, noise_var, stage_seeds[0],
@@ -412,7 +388,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
 
 
 @functools.lru_cache(maxsize=16)
-def _bound_factors(key: tuple, t2_y: int, t2_z: int, joint_scan: bool,
+def _bound_factors(scene: SceneGeometry, t2_y: int, t2_z: int, joint_scan: bool,
                    stage2_mode: Stage2Mode) -> tuple:
     """Read-only power-independent factors of both bounds of one scene: (stage 1, stage 2).
 
@@ -420,7 +396,6 @@ def _bound_factors(key: tuple, t2_y: int, t2_z: int, joint_scan: bool,
     factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
     the strongest |g_y| at target 0's composite angle, as synthesis sends it.
     """
-    scene = _scene_of(key)
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
     if joint_scan:
         words = joint_codewords(plan)
@@ -433,12 +408,11 @@ def _bound_factors(key: tuple, t2_y: int, t2_z: int, joint_scan: bool,
 
 
 def _factors(config: ExperimentConfig) -> tuple:
-    return _bound_factors(_scene_key(config.scene), config.t2_y, config.t2_z,
+    return _bound_factors(config.scene, config.t2_y, config.t2_z,
                           config.joint_scan, config.stage2_mode)
 
 
-def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
-               point: PowerPoint | None = None) -> dict:
+def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
     """Bound columns for one power point, straight from the closed forms.
 
     The stage-1 bound takes the Jacobian of the echo mean against the codebook
@@ -447,16 +421,14 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float,
     The stage-2 bound is the first surface's scan toward target 0.  Both are
     assembled from factors cached per scene and scan (_bound_factors), so a
     call pays only the power's scalings and the small FIMs once its scene has
-    been seen.  point, when given, supplies the probing codebook; without it
-    the codebook comes from its builder, never a trial's echo or models.
+    been seen; the probing codebook comes from its builder, never a trial's.
     """
     noise_var = config.noise_var
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
     p_watts = dbm_to_watts(p_bs_dbm)
-    probing = (dft_codebook(config.scene.n_bs, config.t1, p_watts) if point is None
-               else point.probing)
+    probing = dft_codebook(config.scene.n_bs, config.t1, p_watts)
     stage1, stage2 = _factors(config)
     s1 = assemble_stage1(stage1, probing, noise_var)
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
@@ -521,19 +493,24 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
     return row
 
 
+def _sweep_point(config: ExperimentConfig, p_dbm: float, sweep_index: int) -> list[TrialRecord]:
+    """The seeded trials of one sweep point on one power point; IrslocError if degenerate."""
+    point = power_point(config, p_dbm)
+    return [run_trial(config, p_dbm, trial_seed(config.base_seed, sweep_index, t), t, point)
+            for t in range(config.trials)]
+
+
 def run_experiment(config: ExperimentConfig,
                    trial_sink: list | None = None) -> list[dict]:
     """Power sweep of seeded trials; one aggregate row per sweep point."""
     rows = []
     for s_idx, p_dbm in enumerate(config.p_bs_dbm_sweep):
-        point = power_point(config, p_dbm)
-        records = [run_trial(config, p_dbm, trial_seed(config.base_seed, s_idx, t), t, point)
-                   for t in range(config.trials)]
+        records = _sweep_point(config, p_dbm, s_idx)
         if trial_sink is not None:
             trial_sink.extend(records)
         row = {"p_bs_dbm": float(p_dbm)}
         row.update(aggregate_trials(records))
-        row.update(attach_crb(config, p_dbm, point))
+        row.update(attach_crb(config, p_dbm))
         rows.append(row)
     return rows
 
@@ -545,9 +522,7 @@ def run_t2_sweep(config: ExperimentConfig, t2_values: Sequence[int],
     rows = []
     for s_idx, t2 in enumerate(t2_values):
         cfg = replace(config, t2_y=int(t2), t2_z=int(t2), p_bs_dbm_sweep=[p_dbm])
-        point = power_point(cfg, p_dbm)
-        records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, s_idx, t), t, point)
-                   for t in range(config.trials)]
+        records = _sweep_point(cfg, p_dbm, s_idx)
         row = {"t2": int(t2), "p_bs_dbm": float(p_dbm)}
         row.update(aggregate_trials(records))
         rows.append(row)
@@ -568,13 +543,9 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
             scene = replace(config.scene, targets=[Position3(float(x), float(y), target_z)])
             cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
             try:
-                point = power_point(cfg, p_dbm)
+                records, degenerate = _sweep_point(cfg, p_dbm, cell), 0
             except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
                 records, degenerate = [], config.trials
-            else:
-                records = [run_trial(cfg, p_dbm, trial_seed(config.base_seed, cell, t), t, point)
-                           for t in range(config.trials)]
-                degenerate = 0
             row = {"x": float(x), "y": float(y)}
             row.update(aggregate_trials(records))
             row["trials"] += degenerate
@@ -587,6 +558,10 @@ def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
 def run_doa_snapshot(config: ExperimentConfig, p_bs_dbm: float | None = None,
                      irs_index: int = 0) -> list[dict]:
     """Single-trial true-vs-estimated DoA table (scatter-style figure data)."""
+    m = len(config.scene.irs)
+    if not (isinstance(irs_index, numbers.Integral) and not isinstance(irs_index, bool)
+            and 0 <= irs_index < m):
+        raise InvalidArgumentError(f"irs_index {irs_index!r} must be an integer in [0, {m})")
     p_dbm = config.p_bs_dbm_sweep[-1] if p_bs_dbm is None else p_bs_dbm
     record = run_trial(config, p_dbm, trial_seed(config.base_seed, 0, 0), 0)
     if record.est_bs_doas is None or record.est_irs_doas is None:

@@ -93,7 +93,6 @@ class KroneckerCodewords(Sequence):
 class ScanObservation:
     """Matched-filter outputs of one scan: the joint grid, or else the two sequential sweeps."""
 
-    noise_var_effective: float      # N_BS * sigma^2
     y_values: np.ndarray | None = None      # (t2_y,) z-beam held at hold_z_index
     z_values: np.ndarray | None = None      # (t2_z,) y-beam held at the y-sweep peak
     grid_values: np.ndarray | None = None   # (t2_y, t2_z)
@@ -254,10 +253,9 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
         return vals.copy() if noise_var <= 0 else add_circular_noise(vals, eff_var, rng)
 
     if joint:
-        return ScanObservation(noise_var_effective=eff_var, grid_values=noisy(model))
+        return ScanObservation(grid_values=noisy(model))
     y_vals = noisy(model[:, plan.hold_z_index])
-    return ScanObservation(noise_var_effective=eff_var, y_values=y_vals,
-                           z_values=noisy(model[np.argmax(np.abs(y_vals) ** 2)]))
+    return ScanObservation(y_values=y_vals, z_values=noisy(model[np.argmax(np.abs(y_vals) ** 2)]))
 
 
 def classify_regime(geometry: SceneGeometry, irs_index: int, target_index: int) -> RegimeReport:

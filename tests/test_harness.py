@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,24 +118,34 @@ def test_shared_power_point_matches_a_trial_run_alone():
                                                 plan.codebook_y, plan.codebook_z))]
         cached += [_steering_table(cfg.music_grid, n) for n in (cfg.scene.bs_upa.n_y,
                                                                  cfg.scene.bs_upa.n_z)]
-        for name in ("true_bs_doas", "true_irs_doas", "true_positions"):
-            assert getattr(shared, name) is getattr(point, name)
-            cached.append(getattr(shared, name))
+        truth = harness._scene_invariants(cfg.scene)
+        assert shared.regime == alone.regime == truth[3]
+        for name, value in zip(("true_bs_doas", "true_irs_doas", "true_positions"), truth):
+            assert getattr(shared, name) is getattr(alone, name) is value
+            cached.append(value)
         assert not any(a.flags.writeable for a in cached)
-        assert attach_crb(cfg, 40.0) == attach_crb(cfg, 40.0, point)
+        # the bounds probe with the codebook the point sends
+        assert np.array_equal(point.probing,
+                              dft_codebook(cfg.scene.n_bs, cfg.t1, dbm_to_watts(40.0)))
 
 
 def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
     configs = [ExperimentConfig.from_yaml(str(CONFIGS / name))
                for name in ("multi_target.yaml", "single_target.yaml")]  # joint, sequential
-    expected = [attach_crb(cfg, 40.0, power_point(cfg, 40.0)) for cfg in configs]
+    for cfg in configs:
+        power_point(cfg, 40.0)
+    expected = [attach_crb(cfg, 40.0) for cfg in configs]
 
     def trial_only(*args, **kwargs):
         raise AssertionError("the bounds path built a trial invariant")
 
+    # cold caches: the bound factors are rebuilt without any trial invariant
+    harness._bound_factors.cache_clear()
+    harness._scene_invariants.cache_clear()
     for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
         monkeypatch.setattr(harness, name, trial_only)
     assert [attach_crb(cfg, 40.0) for cfg in configs] == expected
+    assert harness._bound_factors.cache_info().misses == len(configs)
 
 
 def test_codebook_table_and_scan_plans_are_built_once_per_shape():
@@ -213,7 +223,7 @@ def test_sequential_bound_holds_the_sent_y_beam(mode, t2, joint):
             assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm), p_dbm
 
 
-def test_bound_factors_follow_in_place_scene_edits():
+def test_bound_factors_follow_rebuilt_scenes():
     cfg = ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml"))
     harness._bound_factors.cache_clear()
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
@@ -227,11 +237,18 @@ def test_bound_factors_follow_in_place_scene_edits():
         _, case2 = harness._factors(replace(cfg, stage2_mode="case2"))
         for a in (case2.wq, case2.wq_mu, case2.wq_nu):
             assert not a.flags.writeable
+        # a scene is immutable, so no cached value can go stale under an in-place edit
         target = cfg.scene.targets[0]
-        for edit in (lambda scene: scene.rcs_dbsm.__setitem__(0, 10.0),
-                     lambda scene: scene.targets.__setitem__(
-                         0, Position3(target.x + 3.0, target.y - 2.0, target.z + 1.0))):
-            edit(cfg.scene)
+        moved = Position3(target.x + 3.0, target.y - 2.0, target.z + 1.0)
+        with pytest.raises(TypeError):
+            cfg.scene.rcs_dbsm[0] = 10.0
+        with pytest.raises(TypeError):
+            cfg.scene.targets[0] = moved
+        with pytest.raises(FrozenInstanceError):
+            cfg.scene.targets = [moved]
+        assert attach_crb(cfg, 10.0) == cold
+        for edit in (dict(rcs_dbsm=[10.0]), dict(targets=[moved])):
+            cfg = replace(cfg, scene=replace(cfg.scene, **edit))
             for p_dbm in (10.0, 30.0):
                 assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm)
             assert attach_crb(cfg, 10.0) != cold
@@ -392,6 +409,31 @@ def test_doa_snapshot_rows():
     assert abs(rows[0]["mu_b2t_est"] - rows[0]["mu_b2t_true"]) < 0.02
 
 
+def test_doa_snapshot_rejects_a_surface_index_outside_the_scene():
+    cfg = ExperimentConfig.from_yaml(str(CONFIGS / "multi_target.yaml"))
+    for bad in (-1, 3, 1.0, True, "0"):
+        with pytest.raises(InvalidArgumentError, match="irs_index"):
+            run_doa_snapshot(cfg, irs_index=bad)
+    rows = run_doa_snapshot(cfg, irs_index=2)
+    truth = harness._scene_invariants(cfg.scene)[1]
+    assert [[r["mu_i2t_true"], r["nu_i2t_true"]] for r in rows] == truth[2].tolist()
+
+
+def test_scenes_from_lists_and_tuples_share_one_cache_entry():
+    parts = dict(bs=Position3(0.0, 0.0, 5.0), bs_upa=UpaConfig(4, 4),
+                 irs=[Position3(-20.0, 0.0, 3.0)], targets=[Position3(-12.0, 6.0, 0.0)],
+                 irs_upa=[UpaConfig(6, 6)], rcs_dbsm=[7.0])
+    from_lists = SceneGeometry(**parts)
+    from_tuples = SceneGeometry(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in parts.items()})
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists == replace(from_tuples, rcs_dbsm=[])  # 7 dBsm is the default
+    harness._bound_factors.cache_clear()
+    bounds = [attach_crb(tiny_config(scene=scene), 30.0) for scene in (from_lists, from_tuples)]
+    assert bounds[0] == bounds[1]
+    assert harness._bound_factors.cache_info().misses == 1
+
+
 def test_config_yaml_round_trip(tmp_path):
     text = """
 scene:
@@ -462,6 +504,13 @@ def test_config_validation():
         ExperimentConfig.from_dict({**raw, "trails": 3})
     with pytest.raises(InvalidArgumentError, match=r"scene keys \['carrier'\]"):
         ExperimentConfig.from_dict({**raw, "scene": {**raw["scene"], "carrier": 1e9}})
+    for carrier in (True, False):  # float(True) would be a 1 Hz carrier
+        with pytest.raises(InvalidArgumentError, match="scene.carrier_freq_hz"):
+            ExperimentConfig.from_dict({**raw, "scene": {**raw["scene"],
+                                                         "carrier_freq_hz": carrier}})
+    as_text = ExperimentConfig.from_dict({**raw, "scene": {**raw["scene"],
+                                                           "carrier_freq_hz": "750e6"}})
+    assert as_text.scene.carrier_freq_hz == 750e6
     scene = raw["scene"]
     for field_name, bad in (
             ("scene", {k: v for k, v in raw.items() if k != "scene"}),

@@ -296,12 +296,6 @@ def test_synthesis_deterministic_per_seed(single_scene):
     assert not np.array_equal(a.y_values, c.y_values)
 
 
-def test_effective_noise_variance_is_scaled(single_scene):
-    plan = build_scan_plan(single_scene.irs_upa[0], 5, 5)
-    obs = synthesize_stage2(single_scene, 0, plan, 1e-9, 0, Stage2Mode.CASE1_APPROX, 1.0)
-    assert obs.noise_var_effective == pytest.approx(single_scene.n_bs * 1e-9)
-
-
 def test_classify_regime_closed_forms_and_cases(single_scene):
     report = classify_regime(single_scene, 0, 0)
     assert report.regime is Regime.CASE1_IRS_DOMINANT  # 900 elements
@@ -374,7 +368,7 @@ def test_doubling_beams_never_worsens_worst_case_quantization():
 def _sweep_estimate(y_power, z_power, k):
     """scan_estimate on hand-built sweeps of a 7x5-beam plan, as (y beam, z beam) pairs."""
     plan = build_scan_plan(UpaConfig(4, 4), 7, 5)
-    obs = ScanObservation(noise_var_effective=1.0, y_values=np.sqrt(np.array(y_power, float)),
+    obs = ScanObservation(y_values=np.sqrt(np.array(y_power, float)),
                           z_values=np.sqrt(np.array(z_power, float)))
     est = scan_estimate(obs, plan, SpatialAnglePair(0.0, 0.0), k)
     mu, nu = list(plan.mu_grid), list(plan.nu_grid)

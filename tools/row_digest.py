@@ -12,7 +12,7 @@ wall_time_s, arrays hashed with dtype, shape and bytes) for every config
 below at base seeds 1000-1003, plus one t2 sweep and one area sweep.  The
 sqrt_crb_* bound columns are left out of the digest, since a reordered
 floating-point sum moves them in the last bits; --save-bounds writes them,
-with a standalone attach_crb(cfg, p) (no power point) at every power of
+with a standalone attach_crb(cfg, p) (outside any sweep) at every power of
 every matrix config and the `irsloc crb` table of every matrix config (its
 four bound columns and crb_trace_stage1 for the DFT codebook sent at each
 power), and --check-bounds compares them within BOUNDS_RTOL relative.
