@@ -11,6 +11,7 @@ Frobenius norms), and `irsloc validate` checks the effective channel.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ from .arrays import (
 )
 from .arrays import spatial_doa as _spatial_doa
 from .errors import DegenerateGeometryError, InvalidArgumentError
+
+
+def is_number(value) -> bool:
+    """A real number that is not a boolean (float(True) would pass for 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -43,11 +49,9 @@ class PathKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PathGain:
-    """Complex amplitude of one echo route, with the range that produced it."""
+    """Complex amplitude of one echo route."""
 
     value: complex
-    distance_m: float
-    kind: PathKind
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,18 @@ class SceneGeometry:
     def __post_init__(self):
         for name in ("irs", "targets", "irs_upa", "rcs_dbsm"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not (np.isfinite(self.carrier_freq_hz) and self.carrier_freq_hz > 0):
+        if not (is_number(self.carrier_freq_hz) and np.isfinite(self.carrier_freq_hz)
+                and self.carrier_freq_hz > 0):
             raise InvalidArgumentError(
-                f"carrier frequency {self.carrier_freq_hz} must be finite and positive")
+                f"carrier frequency {self.carrier_freq_hz!r} must be a finite positive number")
         if len(self.irs_upa) != len(self.irs):
             raise InvalidArgumentError("need one UPA config per reflecting surface")
         if not self.rcs_dbsm:
             object.__setattr__(self, "rcs_dbsm", (7.0,) * len(self.targets))
         if len(self.rcs_dbsm) != len(self.targets):
             raise InvalidArgumentError("need one RCS value per target")
-        if not np.all(np.isfinite(self.rcs_dbsm)):
-            raise InvalidArgumentError(f"RCS values {self.rcs_dbsm} must be finite")
+        if not all(is_number(v) and np.isfinite(v) for v in self.rcs_dbsm):
+            raise InvalidArgumentError(f"RCS values {self.rcs_dbsm!r} must be finite numbers")
         for i in range(len(self.irs)):
             if self.d_b2i(i) < 1e-9:  # the BS-surface hop would have no direction
                 raise InvalidArgumentError(f"reflecting surface irs[{i}] coincides with the BS")
@@ -145,20 +150,17 @@ def path_gain(kind: PathKind, geometry: SceneGeometry,
         kappa = geometry.rcs_m2(target_index)
         mag = np.sqrt(lam**2 * kappa / (64 * np.pi**3 * d**4))
         phase = -4 * np.pi * d / lam
-        dist = d
     elif kind is PathKind.B2I:
         d = geometry.d_b2i(irs_index)
         _check_distance(d, "BS-IRS")
         mag = lam / (4 * np.pi * d)
         phase = -2 * np.pi * d / lam
-        dist = d
     elif kind is PathKind.ITI:
         d = geometry.d_i2t(irs_index, target_index)
         _check_distance(d, "IRS-target")
         kappa = geometry.rcs_m2(target_index)
         mag = np.sqrt(lam**2 * kappa / (64 * np.pi**3 * d**4))
         phase = -4 * np.pi * d / lam
-        dist = d
     elif kind is PathKind.BTI:
         d_bt = geometry.d_b2t(target_index)
         d_it = geometry.d_i2t(irs_index, target_index)
@@ -167,10 +169,9 @@ def path_gain(kind: PathKind, geometry: SceneGeometry,
         kappa = geometry.rcs_m2(target_index)
         mag = np.sqrt(lam**2 * kappa / (64 * np.pi**3 * d_bt**2 * d_it**2))
         phase = -2 * np.pi * (d_bt + d_it) / lam
-        dist = d_bt + d_it
     else:
         raise InvalidArgumentError(f"unknown path kind {kind}")
-    return PathGain(value=complex(mag * np.exp(1j * phase)), distance_m=dist, kind=kind)
+    return PathGain(value=complex(mag * np.exp(1j * phase)))
 
 
 def _symmetric_outer(beta: complex, v: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 import yaml
 
+from . import stage2
 from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
-from .channel import SceneGeometry, dbm_to_watts
+from .channel import SceneGeometry, dbm_to_watts, is_number
 # fim_stage1, fim_stage2_case1/case2: unused, but perfbench traces them by name here
 from .crb import (
     assemble_case1,
@@ -41,13 +42,12 @@ from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
 from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_stage1
+# joint_codewords, sequential_codewords: unused, but perfbench traces them by name here
 from .stage2 import (
     IrsScanPlan,
     Stage2Mode,
-    beam_gains,
     build_scan_plan,
     classify_regime,
-    composite_angle,
     joint_codewords,
     scan_estimate,
     sequential_codewords,
@@ -64,12 +64,8 @@ def _reject_unknown_keys(raw: dict, schema, where: str) -> None:
         raise InvalidArgumentError(f"unknown {where} keys {unknown}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _numbers(value, where: str) -> list:
-    if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
+    if not (isinstance(value, (list, tuple)) and all(is_number(v) for v in value)):
         raise InvalidArgumentError(f"{where} {value!r} must be a list of numbers")
     return list(value)
 
@@ -134,7 +130,7 @@ class ExperimentConfig:
             raise InvalidArgumentError("need at least one trial")
         _numbers(self.p_bs_dbm_sweep, "p_bs_dbm_sweep")
         for name in ("noise_dbm", "music_grid"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} {getattr(self, name)!r} must be a number")
         if not self.p_bs_dbm_sweep:
             raise InvalidArgumentError("power sweep must be non-empty")
@@ -347,7 +343,6 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         point = power_point(config, p_bs_dbm)
     k = config.n_targets
     m = len(scene.irs)
-    p_watts = dbm_to_watts(p_bs_dbm)
     noise_var = config.noise_var
     start = time.perf_counter()
 
@@ -372,7 +367,6 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         est_irs: list[list[SpatialAnglePair]] = []
         for i, plan in enumerate(point.plans):
             obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
-                                    mode=config.stage2_mode, p_bs_watts=p_watts,
                                     joint=config.joint_scan, model=point.models[i])
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
@@ -392,19 +386,14 @@ def _bound_factors(scene: SceneGeometry, t2_y: int, t2_z: int, joint_scan: bool,
                    stage2_mode: Stage2Mode) -> tuple:
     """Read-only power-independent factors of both bounds of one scene: (stage 1, stage 2).
 
-    The stage-2 bound takes the first surface's scan codewords as Kronecker
-    factors; a sequential scan's z sweep holds the noiseless y-sweep peak,
-    the strongest |g_y| at target 0's composite angle, as synthesis sends it.
+    The stage-2 bound takes the codewords that the first surface's scan sends
+    run noiselessly at unit power (called through its module, so a traced
+    bounds call counts no scan samples).
     """
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
-    if joint_scan:
-        words = joint_codewords(plan)
-    else:
-        gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
-                           plan.codebook_y, plan.codebook_z)
-        words = sequential_codewords(plan, int(np.argmax(np.abs(gy))))
-    stage2 = case2_factors if stage2_mode is Stage2Mode.CASE2_APPROX else case1_factors
-    return stage1_factors(scene), stage2(scene, 0, 0, words)
+    words = stage2.synthesize_stage2(scene, 0, plan, 0.0, 0, stage2_mode, joint=joint_scan).codewords
+    factors = case2_factors if stage2_mode is Stage2Mode.CASE2_APPROX else case1_factors
+    return stage1_factors(scene), factors(scene, 0, 0, words)
 
 
 def _factors(config: ExperimentConfig) -> tuple:
@@ -429,13 +418,13 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
     p_watts = dbm_to_watts(p_bs_dbm)
     probing = dft_codebook(config.scene.n_bs, config.t1, p_watts)
-    stage1, stage2 = _factors(config)
-    s1 = assemble_stage1(stage1, probing, noise_var)
+    factors1, factors2 = _factors(config)
+    s1 = assemble_stage1(factors1, probing, noise_var)
     if config.stage2_mode is Stage2Mode.CASE2_APPROX:
-        s2 = assemble_case2(stage2, noise_var, p_watts)
+        s2 = assemble_case2(factors2, noise_var, p_watts)
         mu_key, nu_key = "mu_i2t", "nu_i2t"
     else:
-        s2 = assemble_case1(stage2, noise_var, p_watts)
+        s2 = assemble_case1(factors2, noise_var, p_watts)
         mu_key, nu_key = "mu", "nu"
     return {
         "sqrt_crb_mu_b2t": float(np.sqrt(s1.crb("mu_b2t"))),

@@ -41,11 +41,9 @@ ZOOM_MARGIN = 5e-3  # relative; coarse nodes this close to the weakest pick are 
 
 @dataclass
 class SnapshotBlock:
-    """T1 received snapshots plus the noise level and seed that produced them."""
+    """T1 received snapshots."""
 
     samples: np.ndarray  # (N_BS, T1) complex
-    noise_var: float
-    seed: int
 
 
 @dataclass
@@ -86,7 +84,7 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
     y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:
         y = add_circular_noise(y, noise_var, np.random.default_rng(seed))
-    return SnapshotBlock(samples=y, noise_var=noise_var, seed=seed)
+    return SnapshotBlock(samples=y)
 
 
 def sample_covariance(block: SnapshotBlock) -> np.ndarray:

@@ -49,9 +49,9 @@ class Regime(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: scan codewords are cached per plan
 class IrsScanPlan:
-    """Separable y/z scan codebooks over the endpoint-inclusive beam grids; arrays read-only."""
+    """Separable y/z scan codebooks over the endpoint-inclusive beam grids; read-only, one per shape."""
 
     t2_y: int
     t2_z: int
@@ -91,11 +91,12 @@ class KroneckerCodewords(Sequence):
 
 @dataclass
 class ScanObservation:
-    """Matched-filter outputs of one scan: the joint grid, or else the two sequential sweeps."""
+    """Matched-filter outputs of one scan's sweeps, and the codewords that sent them in sample order."""
 
-    y_values: np.ndarray | None = None      # (t2_y,) z-beam held at hold_z_index
-    z_values: np.ndarray | None = None      # (t2_z,) y-beam held at the y-sweep peak
-    grid_values: np.ndarray | None = None   # (t2_y, t2_z)
+    codewords: KroneckerCodewords
+    y_values: np.ndarray | None = None      # (t2_y,) the sequential y sweep
+    z_values: np.ndarray | None = None      # (t2_z,) the sequential z sweep
+    grid_values: np.ndarray | None = None   # (t2_y, t2_z) the joint sweep
 
 
 @dataclass
@@ -232,13 +233,12 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
                       model: np.ndarray | None = None) -> ScanObservation:
     """Matched-filter samples for a scan: the joint grid (t2_y * t2_z) or two sweeps (t2_y + t2_z).
 
-    Every sample is a node of model, the noiseless (t2_y, t2_z) beam grid of
-    stage2_model(geometry, irs_index, plan, mode, p_bs_watts); it is built
-    here unless the caller passes the one it keeps for many draws, and it is
-    never written.  The joint scan reads the whole grid.  The sequential y
-    sweep reads the column at the center z codeword; the z sweep then reads
-    the row of the noisy-best y beam.  The BS beam is
-    sqrt(P/N_BS) a*(arrival direction of the surface) throughout.
+    The scan runs sweep by sweep and returns the codewords it sends:
+    joint_codewords, or sequential_codewords whose z sweep holds the y-sweep
+    peak.  Sample t reads model[y_idx[t], z_idx[t]] off the noiseless beam
+    grid stage2_model(geometry, irs_index, plan, mode, p_bs_watts), built
+    here unless the caller passes the one it keeps for many draws; model is
+    never written.  The BS beam is sqrt(P/N_BS) a*(arrival direction of the surface).
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all
@@ -247,15 +247,17 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     if model is None:
         model = stage2_model(geometry, irs_index, plan, mode, p_bs_watts)
     rng = np.random.default_rng(seed)
-    eff_var = geometry.n_bs * noise_var
 
-    def noisy(vals):  # always a new array, so an observation never aliases model
-        return vals.copy() if noise_var <= 0 else add_circular_noise(vals, eff_var, rng)
+    def sweep(words, samples):  # always a new array, so an observation never aliases model
+        vals = model[words.y_idx[samples], words.z_idx[samples]]
+        return vals if noise_var <= 0 else add_circular_noise(vals, geometry.n_bs * noise_var, rng)
 
     if joint:
-        return ScanObservation(grid_values=noisy(model))
-    y_vals = noisy(model[:, plan.hold_z_index])
-    return ScanObservation(y_values=y_vals, z_values=noisy(model[np.argmax(np.abs(y_vals) ** 2)]))
+        words = joint_codewords(plan)
+        return ScanObservation(words, grid_values=sweep(words, slice(None)).reshape(model.shape))
+    y_vals = sweep(sequential_codewords(plan, 0), slice(plan.t2_y))  # the same for any hold
+    words = sequential_codewords(plan, int(np.argmax(np.abs(y_vals) ** 2)))
+    return ScanObservation(words, y_values=y_vals, z_values=sweep(words, slice(plan.t2_y, None)))
 
 
 def classify_regime(geometry: SceneGeometry, irs_index: int, target_index: int) -> RegimeReport:
@@ -283,36 +285,41 @@ def scan_estimate(obs: ScanObservation, plan: IrsScanPlan, bs_irs_doa: SpatialAn
                   k: int = 1) -> list[SpatialAnglePair]:
     """Map the strongest beams back to surface-to-target DoAs.
 
-    The joint grid yields its top-k separated peaks.  The two sequential
-    sweeps serve one target: each yields its strongest beam, the lowest
-    index on ties.  The known arrival angles are subtracted from the
-    composite grid values.
+    The scan's last sweep (the joint grid, or the sequential z sweep) yields
+    its top-k separated peaks, and each reads its beams off the codeword that
+    sent it.  A later sweep holds an earlier one's peak, so a scan of several
+    serves one target.  The known arrival angles are subtracted.
     """
-    if obs.grid_values is not None:
-        pairs = top_peaks_2d(np.abs(obs.grid_values) ** 2, k, SCAN_SUPPRESSION_RADIUS)
-        if len(pairs) < k:
-            raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
-    elif k != 1:
+    last = obs.grid_values if obs.grid_values is not None else obs.z_values[None]
+    words, first = obs.codewords, len(obs.codewords) - last.size  # the last sweep's first sample
+    if first and k != 1:
         raise InvalidArgumentError(f"a sequential scan resolves one target, not {k}")
-    else:
-        pairs = [(np.argmax(np.abs(obs.y_values) ** 2), np.argmax(np.abs(obs.z_values) ** 2))]
-    return [SpatialAnglePair(float(plan.mu_grid[i]) - bs_irs_doa.mu,
-                             float(plan.nu_grid[j]) - bs_irs_doa.nu) for i, j in pairs]
+    pairs = top_peaks_2d(np.abs(last) ** 2, k, SCAN_SUPPRESSION_RADIUS)
+    if len(pairs) < k:
+        raise UnderResolvedError(f"found {len(pairs)} scan peaks, need {k}", found=len(pairs))
+    samples = [first + i * last.shape[1] + j for i, j in pairs]
+    return [SpatialAnglePair(float(plan.mu_grid[words.y_idx[t]]) - bs_irs_doa.mu,
+                             float(plan.nu_grid[words.z_idx[t]]) - bs_irs_doa.nu) for t in samples]
 
 
+@functools.lru_cache(maxsize=256)
 def sequential_codewords(plan: IrsScanPlan, hold_y: int) -> KroneckerCodewords:
-    """Per-sample phase vectors of a sequential scan.
+    """Per-sample phase vectors of a sequential scan, cached per (plan, hold_y), read-only.
 
-    The y sweep holds the center z beam, then the z sweep holds y beam
-    hold_y, which a scan sets to the y sweep's peak; the value keeps the
-    factors and indexes like the dense list.
+    The y sweep holds z beam plan.hold_z_index, then the z sweep holds y beam
+    hold_y, which a scan sets to the y sweep's peak.
     """
-    y_idx = np.concatenate([np.arange(plan.t2_y), np.full(plan.t2_z, hold_y)])
-    z_idx = np.concatenate([np.full(plan.t2_y, plan.hold_z_index), np.arange(plan.t2_z)])
-    return KroneckerCodewords(plan.codebook_y, plan.codebook_z, y_idx, z_idx)
+    return _plan_codewords(plan, np.r_[np.arange(plan.t2_y), np.full(plan.t2_z, hold_y)],
+                           np.r_[np.full(plan.t2_y, plan.hold_z_index), np.arange(plan.t2_z)])
 
 
+@functools.lru_cache(maxsize=16)
 def joint_codewords(plan: IrsScanPlan) -> KroneckerCodewords:
-    """Per-sample phase vectors of a joint scan, row-major over (y, z) beams, kept as factors."""
-    y_idx, z_idx = np.indices((plan.t2_y, plan.t2_z)).reshape(2, -1)
+    """Per-sample phase vectors of a joint scan, row-major over (y, z) beams, cached per plan."""
+    return _plan_codewords(plan, *np.indices((plan.t2_y, plan.t2_z)).reshape(2, -1))
+
+
+def _plan_codewords(plan: IrsScanPlan, y_idx: np.ndarray, z_idx: np.ndarray) -> KroneckerCodewords:
+    for idx in (y_idx, z_idx):  # a cached value is shared, so it must stay unwritten
+        idx.setflags(write=False)
     return KroneckerCodewords(plan.codebook_y, plan.codebook_z, y_idx, z_idx)

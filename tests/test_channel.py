@@ -166,7 +166,13 @@ def test_rcs_and_upa_count_validation():
 def test_scene_rejects_non_finite_carrier_and_rcs():
     sites = dict(bs=Position3(0, 0, 0), irs=[Position3(1, 0, 0)], targets=[Position3(2, 0, 0)],
                  bs_upa=UpaConfig(2, 2), irs_upa=[UpaConfig(2, 2)])
+    # a scene built in code gets the number checks that the config schema applies, too
     for bad in ({"carrier_freq_hz": float("nan")}, {"carrier_freq_hz": float("inf")},
-                {"rcs_dbsm": [float("nan")]}, {"rcs_dbsm": [float("inf")]}):
+                {"rcs_dbsm": [float("nan")]}, {"rcs_dbsm": [float("inf")]},
+                {"carrier_freq_hz": True}, {"carrier_freq_hz": "750e6"},
+                {"rcs_dbsm": [True]}, {"rcs_dbsm": ["7"]}, {"rcs_dbsm": [None]}):
         with pytest.raises(InvalidArgumentError):
             SceneGeometry(**sites, **bad)
+    scene = SceneGeometry(**sites, carrier_freq_hz=np.float64(7.5e8), rcs_dbsm=[np.int64(7)])
+    assert scene.wavelength == pytest.approx(0.3997, rel=1e-4)
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irsloc import (
+    Position3,
     crb_trace_stage1,
     dft_codebook,
     fim_finite_difference_oracle,
@@ -25,12 +26,15 @@ from irsloc.crb import (
 from irsloc.errors import InvalidArgumentError, OracleFailureError
 from irsloc.stage2 import (
     KroneckerCodewords,
+    Stage2Mode,
     build_scan_plan,
     case1_amplitude,
     case2_amplitude,
     composite_angle,
     joint_codewords,
     sequential_codewords,
+    stage2_model,
+    synthesize_stage2,
 )
 
 from conftest import random_desk_scene
@@ -348,11 +352,13 @@ def center_hold_y(plan):
     return (plan.t2_y - 1) // 2
 
 
-def dense_sequential_codewords(plan):
-    """The dense vectors of a sequential scan whose z sweep holds the center y beam."""
+def dense_sequential_codewords(plan, hold_y=None):
+    """The dense vectors of a sequential scan whose z sweep holds y beam hold_y, the center one
+    by default."""
+    hold_y = center_hold_y(plan) if hold_y is None else hold_y
     words = [np.kron(plan.codebook_y[:, i], plan.codebook_z[:, plan.hold_z_index])
              for i in range(plan.t2_y)]
-    words += [np.kron(plan.codebook_y[:, center_hold_y(plan)], plan.codebook_z[:, j])
+    words += [np.kron(plan.codebook_y[:, hold_y], plan.codebook_z[:, j])
               for j in range(plan.t2_z)]
     return words
 
@@ -401,6 +407,31 @@ def test_factored_codewords_keep_the_unit_modulus_check(single_scene, fim, axis)
         fim(single_scene, 0, 0, short, 1e-11, 1.0)
     with pytest.raises(InvalidArgumentError, match="at least one"):
         fim(single_scene, 0, 0, words[:0], 1e-11, 1.0)
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 1e-11])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "sequential"])
+def test_a_scan_returns_the_codewords_it_sends(single_scene, joint, noise_var):
+    # the target sits off the surface's center beams, so the sequential z sweep holds
+    # a y beam other than the center one
+    g = replace(single_scene, irs_upa=[UpaConfig(5, 7)], targets=[Position3(-12.0, -6.0, 1.0)])
+    plan = build_scan_plan(g.irs_upa[0], 7, 6)
+    obs = synthesize_stage2(g, 0, plan, noise_var, 3, Stage2Mode.FULL_ECHO, 10.0, joint=joint)
+    if joint:
+        values, oracle = obs.grid_values.ravel(), dense_joint_codewords(plan)
+    else:
+        hold_y = int(np.argmax(np.abs(obs.y_values) ** 2))
+        assert hold_y != center_hold_y(plan)
+        values = np.concatenate([obs.y_values, obs.z_values])
+        oracle = dense_sequential_codewords(plan, hold_y)
+    assert len(obs.codewords) == len(oracle) == len(values)
+    for got, want in zip(obs.codewords, oracle, strict=True):
+        np.testing.assert_array_equal(got, want)
+    if noise_var == 0.0:  # sample t is the model's node at the beams of codeword t
+        model = stage2_model(g, 0, plan, Stage2Mode.FULL_ECHO, 10.0)
+        np.testing.assert_array_equal(values, model[obs.codewords.y_idx, obs.codewords.z_idx])
+    for idx in (obs.codewords.y_idx, obs.codewords.z_idx):  # cached per plan, so read-only
+        assert not idx.flags.writeable
 
 
 def test_factored_codewords_slice_like_the_dense_list():

@@ -44,7 +44,9 @@ from irsloc.stage1 import _steering_table
 from irsloc.stage2 import (
     KroneckerCodewords,
     _scan_plan,
+    beam_gains,
     build_scan_plan,
+    composite_angle,
     joint_codewords,
     stage2_model,
 )
@@ -221,6 +223,28 @@ def test_sequential_bound_holds_the_sent_y_beam(mode, t2, joint):
         warnings.simplefilter("ignore")
         for p_dbm in (-10.0, 0.0, 25.0, 40.0):
             assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm), p_dbm
+
+
+def test_sequential_bound_holds_the_y_beam_a_full_echo_scan_sends():
+    # here the y sweep's full echo (double plus single bounce) peaks at y beam 9, where
+    # the double-bounce gain |g_y| alone peaks at beam 2; the scan holds beam 9, and
+    # so must the bound
+    base = ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml"))
+    scene = replace(base.scene, targets=[Position3(-8.775133, -11.971208, -0.966360)])
+    cfg = replace(base, scene=scene, t2_y=10, t2_z=10, stage2_mode="full")
+    plan = build_scan_plan(scene.irs_upa[0], 10, 10)
+    gy, _ = beam_gains(scene.irs_upa[0], composite_angle(scene, 0, 0),
+                       plan.codebook_y, plan.codebook_z)
+    assert int(np.argmax(np.abs(gy))) == 2
+    p_watts = dbm_to_watts(40.0)
+    sent = sent_codewords(cfg, p_watts)
+    assert set(sent.y_idx[plan.t2_y:].tolist()) == {9}
+    want = fim_stage2_case1(scene, 0, 0, sent, cfg.noise_var, p_watts)
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        bounds = attach_crb(cfg, 40.0)
+    assert bounds["sqrt_crb_mu_irs"] == pytest.approx(np.sqrt(want.crb("mu")), rel=1e-12)
+    assert bounds["sqrt_crb_nu_irs"] == pytest.approx(np.sqrt(want.crb("nu")), rel=1e-12)
 
 
 def test_bound_factors_follow_rebuilt_scenes():

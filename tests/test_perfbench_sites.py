@@ -25,8 +25,9 @@ def test_every_trace_site_resolves(sweeps):
 
 
 def test_traced_bounds_call_builds_the_codewords_once_per_scene(sweeps):
-    # the first call of a scene builds the plan and the 3600 Kronecker codewords into
-    # cached factors; later calls only assemble, so no FIM or codeword span fires
+    # the first call of a scene builds the plan and runs the scan noiselessly, through
+    # the stage-2 module, for the 3600 Kronecker codewords of its cached factors; later
+    # calls only assemble, so no FIM, scan or codeword span fires and no sample counts
     from spans import Patches, Tracer
 
     cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "multi_target.yaml"))
@@ -39,9 +40,8 @@ def test_traced_bounds_call_builds_the_codewords_once_per_scene(sweeps):
     assert cold == warm[-1] == harness.attach_crb(cfg, top)
     assert warm == [harness.attach_crb(cfg, p) for p in cfg.p_bs_dbm_sweep]
     assert [s.name for s in tracer.spans].count("harness.bounds") == 1 + len(warm)
-    assert sorted(s.name for s in tracer.spans if s.name != "harness.bounds") == [
-        "stage2.codewords", "stage2.plan"]
-    assert tracer.counts["crb.codewords"] == 0
+    assert [s.name for s in tracer.spans if s.name != "harness.bounds"] == ["stage2.plan"]
+    assert tracer.counts["crb.codewords"] == tracer.counts["stage2.samples"] == 0
 
 
 def test_traced_trial_records_the_stage_spans(sweeps):

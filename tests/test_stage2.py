@@ -24,7 +24,7 @@ from irsloc import (
     upa_response,
 )
 from irsloc.channel import PathKind, path_gain, stage2_effective_channel
-from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude
+from irsloc.stage2 import Stage2Mode, case1_amplitude, case2_amplitude, sequential_codewords
 
 from conftest import random_desk_scene
 
@@ -365,10 +365,13 @@ def test_doubling_beams_never_worsens_worst_case_quantization():
         assert worst[2] <= worst[1] + 1e-12
 
 
-def _sweep_estimate(y_power, z_power, k):
-    """scan_estimate on hand-built sweeps of a 7x5-beam plan, as (y beam, z beam) pairs."""
+def _sweep_estimate(y_power, z_power, k, hold_y=None):
+    """scan_estimate on hand-built sweeps of a 7x5-beam plan, sent by the sequential codewords
+    whose z sweep holds hold_y (by default the y-sweep peak), as (y beam, z beam) pairs."""
     plan = build_scan_plan(UpaConfig(4, 4), 7, 5)
-    obs = ScanObservation(y_values=np.sqrt(np.array(y_power, float)),
+    y_values = np.sqrt(np.array(y_power, float))
+    hold_y = int(np.argmax(y_values)) if hold_y is None else hold_y
+    obs = ScanObservation(sequential_codewords(plan, hold_y), y_values=y_values,
                           z_values=np.sqrt(np.array(z_power, float)))
     est = scan_estimate(obs, plan, SpatialAnglePair(0.0, 0.0), k)
     mu, nu = list(plan.mu_grid), list(plan.nu_grid)
@@ -378,6 +381,8 @@ def _sweep_estimate(y_power, z_power, k):
 def test_sequential_estimate_on_hand_built_sweeps():
     # equal-power peaks go to the lowest beam index
     assert _sweep_estimate([0, 1, 0, 0, 1, 0, 0], [2, 0, 0, 0, 2], 1) == [(1, 0)]
+    # the y beam is the one the z sweep held, read off the codewords, not the y sweep
+    assert _sweep_estimate([0, 1, 0, 0, 1, 0, 0], [0, 0, 3, 0, 1], 1, hold_y=5) == [(5, 2)]
     # two sweeps cannot pair several targets' peaks, so they resolve one target only
     for y_power, z_power in (([0, 3, 3, 0, 0, 1, 0], [0, 4, 0, 1, 0]),
                              ([0, 1, 0, 0, 3, 0, 0], [5, 0, 0, 2, 0]),

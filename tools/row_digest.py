@@ -15,7 +15,8 @@ floating-point sum moves them in the last bits; --save-bounds writes them,
 with a standalone attach_crb(cfg, p) (outside any sweep) at every power of
 every matrix config and the `irsloc crb` table of every matrix config (its
 four bound columns and crb_trace_stage1 for the DFT codebook sent at each
-power), and --check-bounds compares them within BOUNDS_RTOL relative.
+power), and --check-bounds compares them within BOUNDS_RTOL relative and names
+the run key and entry index of the worst gap.
 """
 
 from __future__ import annotations
@@ -140,19 +141,24 @@ def digest() -> tuple[str, dict[str, list[float]]]:
     return h.hexdigest(), bounds
 
 
-def worst_bound_gap(bounds: dict[str, list[float]], saved: dict[str, list[float]]) -> float:
-    """Largest relative difference between two bound sets of one matrix."""
+def worst_bound_gap(bounds: dict[str, list[float]],
+                    saved: dict[str, list[float]]) -> tuple[float, str, int]:
+    """Largest relative difference between two bound sets of one matrix: (gap, run key, index).
+
+    An entry finite on one side only has an infinite gap; ties go to the first entry.
+    """
     if bounds.keys() != saved.keys() or any(len(bounds[k]) != len(saved[k]) for k in bounds):
         raise SystemExit("saved bounds cover a different config matrix")
-    worst = 0.0
+    worst = (-1.0, "", -1)
     for key in bounds:
         a, b = np.array(bounds[key]), np.array(saved[key])
-        if not np.array_equal(np.isfinite(a), np.isfinite(b)):
-            return math.inf
-        ok = np.isfinite(a)
+        ok = np.isfinite(a) & np.isfinite(b)
         scale = np.maximum(np.abs(a[ok]), np.abs(b[ok]))
-        gap = np.abs(a[ok] - b[ok]) / np.where(scale > 0, scale, 1.0)
-        worst = max(worst, float(gap.max(initial=0.0)))
+        gap = np.zeros(a.shape)
+        gap[ok] = np.abs(a[ok] - b[ok]) / np.where(scale > 0, scale, 1.0)
+        gap[np.isfinite(a) != np.isfinite(b)] = math.inf
+        if gap.size and gap.max() > worst[0]:
+            worst = (float(gap.max()), key, int(np.argmax(gap)))
     return worst
 
 
@@ -169,8 +175,9 @@ def main(argv=None) -> int:
     if args.save_bounds:
         Path(args.save_bounds).write_text(json.dumps(bounds))
     if args.check_bounds:
-        gap = worst_bound_gap(bounds, json.loads(Path(args.check_bounds).read_text()))
-        print(f"bounds worst relative gap {gap:.3g} ({'ok' if gap <= BOUNDS_RTOL else 'FAIL'})")
+        gap, key, index = worst_bound_gap(bounds, json.loads(Path(args.check_bounds).read_text()))
+        print(f"bounds worst relative gap {gap:.3g} at {key!r} entry {index} "
+              f"({'ok' if gap <= BOUNDS_RTOL else 'FAIL'})")
         return 0 if gap <= BOUNDS_RTOL else 1
     return 0
 
