@@ -22,6 +22,11 @@ SPEED_OF_LIGHT = 299792458.0
 """Speed of light in m/s (exact)."""
 
 
+def is_number(value) -> bool:
+    """A real number that is not a boolean (float(True) would pass for 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class UpaConfig:
     """Uniform planar array with n_y x n_z elements in the y-z plane."""
@@ -37,8 +42,7 @@ class UpaConfig:
         if self.n_y < 1 or self.n_z < 1:
             raise InvalidArgumentError(f"UPA needs at least one element per axis, got {self.n_y}x{self.n_z}")
         spacing = self.spacing_over_lambda
-        if not (isinstance(spacing, numbers.Real) and not isinstance(spacing, bool)
-                and np.isfinite(spacing) and spacing > 0):
+        if not (is_number(spacing) and np.isfinite(spacing) and spacing > 0):
             raise InvalidArgumentError(
                 f"element spacing {spacing!r} must be finite and positive")
 
@@ -67,8 +71,8 @@ class Position3:
     z: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise InvalidArgumentError("position components must be finite")
+        if not all(is_number(v) and np.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise InvalidArgumentError(f"position {self!r} must have finite real coordinates")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])

@@ -11,7 +11,6 @@ Frobenius norms), and `irsloc validate` checks the effective channel.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,11 @@ from .arrays import (
     Position3,
     SpatialAnglePair,
     UpaConfig,
+    is_number,
     upa_response,
 )
 from .arrays import spatial_doa as _spatial_doa
 from .errors import DegenerateGeometryError, InvalidArgumentError
-
-
-def is_number(value) -> bool:
-    """A real number that is not a boolean (float(True) would pass for 1)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def dbm_to_watts(dbm: float) -> float:

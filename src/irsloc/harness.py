@@ -24,8 +24,8 @@ import numpy as np
 import yaml
 
 from . import stage2
-from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook
-from .channel import SceneGeometry, dbm_to_watts, is_number
+from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook, is_number
+from .channel import SceneGeometry, dbm_to_watts
 # fim_stage1, fim_stage2_case1/case2: unused, but perfbench traces them by name here
 from .crb import (
     assemble_case1,
@@ -44,7 +44,6 @@ from .localization import MATCHING_BUDGET, construct_location, match_and_localiz
 from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_stage1
 # joint_codewords, sequential_codewords: unused, but perfbench traces them by name here
 from .stage2 import (
-    IrsScanPlan,
     Stage2Mode,
     build_scan_plan,
     classify_regime,
@@ -283,64 +282,38 @@ def _scene_truth(scene: SceneGeometry):
 
 
 @functools.lru_cache(maxsize=16)  # a scene is immutable and hashable: its own key
-def _scene_invariants(scene: SceneGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Read-only true BS angles, surface angles and positions, and the regime, of one scene."""
+def _trial_data(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int,
+                stage2_mode: Stage2Mode) -> tuple:
+    """Read-only unit-power data that every trial of one scene shares.
+
+    (true BS angles, true surface angles, true positions, regime, scan plans,
+    stage-1 echo, stage-2 model per surface); both signals are linear in the
+    transmit amplitude, so a trial at P watts sends sqrt(P) times the echo and
+    each model.  IrslocError if the scene is degenerate, e.g. a target on a surface.
+    """
+    plans = tuple(build_scan_plan(u, t2_y, t2_z) for u in scene.irs_upa)
+    echo = stage1_echo(scene, dft_codebook(scene.n_bs, t1, 1.0))
+    models = tuple(stage2_model(scene, i, plan, stage2_mode, 1.0) for i, plan in enumerate(plans))
     truth = _scene_truth(scene)
-    for a in truth:
+    for a in (*truth, echo, *models):
         a.setflags(write=False)
-    return (*truth, classify_regime(scene, 0, 0).regime.value)
-
-
-@dataclass(frozen=True)
-class PowerPoint:
-    """What the trials of one power point share, built once so that a trial only draws and estimates.
-
-    The probing codebook and the scan plans come from tables cached per
-    shape for the process, since neither depends on the scene; the rest is
-    the scene's at this power: the noiseless stage-1 snapshots and each
-    surface's noiseless scan samples over its whole beam grid.  The arrays
-    are read-only, since one value serves every trial of the point.
-    """
-
-    probing: np.ndarray
-    plans: tuple[IrsScanPlan, ...]
-    echo: np.ndarray                 # (N_BS, T1), stage1_echo
-    models: tuple[np.ndarray, ...]   # (t2_y, t2_z) per surface, stage2_model
-
-
-def power_point(config: ExperimentConfig, p_bs_dbm: float) -> PowerPoint:
-    """Build the per-power-point invariants once, for every trial at p_bs_dbm.
-
-    The codebook and plans come from their builders' per-shape caches.
-    Raises IrslocError when the scene itself is degenerate, e.g. a target on
-    a surface.
-    """
-    scene = config.scene
-    p_watts = dbm_to_watts(p_bs_dbm)
-    probing = dft_codebook(scene.n_bs, config.t1, p_watts)
-    plans = tuple(build_scan_plan(u, config.t2_y, config.t2_z) for u in scene.irs_upa)
-    echo = stage1_echo(scene, probing)
-    models = tuple(stage2_model(scene, i, plan, config.stage2_mode, p_watts)
-                   for i, plan in enumerate(plans))
-    for a in (probing, echo, *models):
-        a.setflags(write=False)
-    return PowerPoint(probing=probing, plans=plans, echo=echo, models=models)
+    return (*truth, classify_regime(scene, 0, 0).regime.value, plans, echo, models)
 
 
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
-              trial_index: int = 0, point: PowerPoint | None = None) -> TrialRecord:
+              trial_index: int = 0) -> TrialRecord:
     """One full pipeline pass at one power point, deterministic under the seed.
 
-    point carries the invariants shared by the power point's trials, so the
-    trial only draws noise and estimates; a trial run alone builds its own.
-    The truth and regime come from _scene_invariants, once per scene.
-    Estimation failures are recorded in the returned record; a degenerate
-    scene raises IrslocError before any estimate.
+    The trial only scales its scene's cached unit-power signals (_trial_data),
+    draws noise and estimates.  Estimation failures are recorded in the
+    returned record; a degenerate scene or a transmit power that is not finite
+    and positive raises before any estimate.
     """
     scene = config.scene
-    true_bs, true_irs, true_pos, regime = _scene_invariants(scene)
-    if point is None:
-        point = power_point(config, p_bs_dbm)
+    true_bs, true_irs, true_pos, regime, plans, echo, models = _trial_data(
+        scene, config.t1, config.t2_y, config.t2_z, config.stage2_mode)
+    p_watts = dbm_to_watts(p_bs_dbm)
+    amplitude = np.sqrt(p_watts)
     k = config.n_targets
     m = len(scene.irs)
     noise_var = config.noise_var
@@ -356,18 +329,19 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         true_positions=true_pos, est_positions=None,
         regime=regime, wall_time_s=0.0,
     )
+    # outside the try, as the codebook checks the power; inline, so no (N_BS, T1) copy outlives it
+    block = synthesize_stage1(scene, dft_codebook(scene.n_bs, config.t1, p_watts), noise_var,
+                              stage_seeds[0], echo=amplitude * echo)
     try:
-        block = synthesize_stage1(scene, point.probing, noise_var, stage_seeds[0],
-                                  echo=point.echo)
         music = music_estimate(block.samples, scene.bs_upa, k, config.music_grid,
                                config.music_refine_levels)
         est_bs = music.angles
         record.est_bs_doas = _align(true_bs, _angles_to_array(est_bs))
 
         est_irs: list[list[SpatialAnglePair]] = []
-        for i, plan in enumerate(point.plans):
+        for i, plan in enumerate(plans):
             obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
-                                    joint=config.joint_scan, model=point.models[i])
+                                    joint=config.joint_scan, model=amplitude * models[i])
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
@@ -483,9 +457,8 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
 
 
 def _sweep_point(config: ExperimentConfig, p_dbm: float, sweep_index: int) -> list[TrialRecord]:
-    """The seeded trials of one sweep point on one power point; IrslocError if degenerate."""
-    point = power_point(config, p_dbm)
-    return [run_trial(config, p_dbm, trial_seed(config.base_seed, sweep_index, t), t, point)
+    """The seeded trials of one sweep point; IrslocError if the scene is degenerate."""
+    return [run_trial(config, p_dbm, trial_seed(config.base_seed, sweep_index, t), t)
             for t in range(config.trials)]
 
 
@@ -510,9 +483,9 @@ def run_t2_sweep(config: ExperimentConfig, t2_values: Sequence[int],
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
     rows = []
     for s_idx, t2 in enumerate(t2_values):
-        cfg = replace(config, t2_y=int(t2), t2_z=int(t2), p_bs_dbm_sweep=[p_dbm])
+        cfg = replace(config, t2_y=t2, t2_z=t2, p_bs_dbm_sweep=[p_dbm])
         records = _sweep_point(cfg, p_dbm, s_idx)
-        row = {"t2": int(t2), "p_bs_dbm": float(p_dbm)}
+        row = {"t2": t2, "p_bs_dbm": float(p_dbm)}
         row.update(aggregate_trials(records))
         rows.append(row)
     return rows

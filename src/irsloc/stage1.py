@@ -77,9 +77,10 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
     """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
 
     echo is stage1_echo(geometry, probing), built here unless the caller
-    passes the one it keeps for many draws; it is never written.  Per-entry
-    noise variance is noise_var (real/imag each noise_var/2); deterministic
-    under the seed.
+    passes one; it is never written.  The echo is linear in the probing
+    amplitude, so a caller keeps the unit-power echo and passes sqrt(P) times
+    it.  Per-entry noise variance is noise_var (real/imag each noise_var/2);
+    deterministic under the seed.
     """
     y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:

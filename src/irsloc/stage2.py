@@ -237,8 +237,10 @@ def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan
     joint_codewords, or sequential_codewords whose z sweep holds the y-sweep
     peak.  Sample t reads model[y_idx[t], z_idx[t]] off the noiseless beam
     grid stage2_model(geometry, irs_index, plan, mode, p_bs_watts), built
-    here unless the caller passes the one it keeps for many draws; model is
-    never written.  The BS beam is sqrt(P/N_BS) a*(arrival direction of the surface).
+    here unless the caller passes one; model is never written.  Every term
+    is linear in sqrt(p_bs_watts), so a caller keeps the unit-power grid and
+    passes sqrt(P) times it.  The BS beam is sqrt(P/N_BS) a*(arrival
+    direction of the surface).
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all

@@ -242,3 +242,11 @@ def test_upa_rejects_fractional_counts_and_bad_spacing():
         with pytest.raises(InvalidArgumentError):
             UpaConfig(**bad)
     assert UpaConfig(np.int64(3), 2, 0.25).n == 6
+
+
+def test_position_rejects_non_numbers_and_non_finite_coordinates():
+    for bad in ((0, 0, True), (0, 0, "5"), (None, 0, 0), (0, 1j, 0), (0, np.bool_(True), 0),
+                (0, 0, float("nan")), (float("inf"), 0, 0), (0, -np.inf, 0)):
+        with pytest.raises(InvalidArgumentError, match="finite real coordinates"):
+            Position3(*bad)
+    assert Position3(1, np.int64(2), np.float32(3.5)).as_array().tolist() == [1.0, 2.0, 3.5]

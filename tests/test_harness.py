@@ -31,7 +31,6 @@ from irsloc.harness import (
     _align,
     aggregate_trials,
     attach_crb,
-    power_point,
     run_area_sweep,
     run_doa_snapshot,
     run_t2_sweep,
@@ -40,7 +39,7 @@ from irsloc.arrays import _dft_table, dft_codebook
 from irsloc.channel import dbm_to_watts
 from irsloc.crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
 from irsloc.localization import DoAPairObservation, construct_location
-from irsloc.stage1 import _steering_table
+from irsloc.stage1 import _steering_table, stage1_echo
 from irsloc.stage2 import (
     KroneckerCodewords,
     _scan_plan,
@@ -98,44 +97,75 @@ def _assert_same_record(a, b):
             np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
 
-def test_shared_power_point_matches_a_trial_run_alone():
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    shipped = [ExperimentConfig.from_yaml(str(configs / name))
+def _trial_data(cfg):
+    return harness._trial_data(cfg.scene, cfg.t1, cfg.t2_y, cfg.t2_z, cfg.stage2_mode)
+
+
+def test_a_trial_run_alone_matches_the_same_trial_in_a_sweep():
+    shipped = [ExperimentConfig.from_yaml(str(CONFIGS / name))
                for name in ("single_target.yaml", "multi_target.yaml")]
     for base, mode, joint in itertools.product(shipped, ("full", "case1", "case2"), (True, False)):
         if base.n_targets > 1 and not joint:  # a sequential scan serves one target
             with pytest.raises(InvalidArgumentError, match="joint_scan"):
                 replace(base, stage2_mode=mode, joint_scan=joint)
             continue
-        cfg = replace(base, stage2_mode=mode, joint_scan=joint)
-        point = power_point(cfg, 40.0)
-        assert all(plan is point.plans[0] for plan in point.plans)  # one shape, one plan
-        seed = trial_seed(cfg.base_seed, 0, 0)
-        alone, shared = run_trial(cfg, 40.0, seed, 0), run_trial(cfg, 40.0, seed, 0, point)
-        _assert_same_record(alone, shared)
+        cfg = replace(base, stage2_mode=mode, joint_scan=joint, trials=2, p_bs_dbm_sweep=[40.0])
+        harness._trial_data.cache_clear()  # the trial alone builds its scene's data cold
+        alone = run_trial(cfg, 40.0, trial_seed(cfg.base_seed, 0, 1), 1)
+        swept: list = []
+        run_experiment(cfg, swept)
+        _assert_same_record(alone, swept[1])
         if mode == base.stage2_mode.value and joint == base.joint_scan:
-            assert not shared.failed
-        cached = [point.probing, point.echo, *point.models, *(
-            a for plan in point.plans for a in (plan.mu_grid, plan.nu_grid,
-                                                plan.codebook_y, plan.codebook_z))]
+            assert not alone.failed
+        *truth, regime, plans, echo, models = _trial_data(cfg)
+        assert all(plan is plans[0] for plan in plans)  # one shape, one plan
+        assert alone.regime == swept[0].regime == regime
+        for name, value in zip(("true_bs_doas", "true_irs_doas", "true_positions"), truth):
+            assert getattr(alone, name) is getattr(swept[1], name) is value
+        cached = [*truth, echo, *models, *(
+            a for plan in plans for a in (plan.mu_grid, plan.nu_grid,
+                                           plan.codebook_y, plan.codebook_z))]
         cached += [_steering_table(cfg.music_grid, n) for n in (cfg.scene.bs_upa.n_y,
                                                                  cfg.scene.bs_upa.n_z)]
-        truth = harness._scene_invariants(cfg.scene)
-        assert shared.regime == alone.regime == truth[3]
-        for name, value in zip(("true_bs_doas", "true_irs_doas", "true_positions"), truth):
-            assert getattr(shared, name) is getattr(alone, name) is value
-            cached.append(value)
         assert not any(a.flags.writeable for a in cached)
-        # the bounds probe with the codebook the point sends
-        assert np.array_equal(point.probing,
-                              dft_codebook(cfg.scene.n_bs, cfg.t1, dbm_to_watts(40.0)))
+
+
+@pytest.mark.parametrize("mode", ["case1", "case2", "full"])
+def test_unit_power_trial_data_scales_to_every_power(mode):
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "multi_target.yaml")), stage2_mode=mode)
+    *_, plans, echo, models = _trial_data(cfg)
+    for p_dbm in (-10.0, 20.0, 40.0):
+        p_watts = dbm_to_watts(p_dbm)
+        expected = [stage1_echo(cfg.scene, dft_codebook(cfg.scene.n_bs, cfg.t1, p_watts))]
+        expected += [stage2_model(cfg.scene, i, plan, cfg.stage2_mode, p_watts)
+                     for i, plan in enumerate(plans)]
+        for unit, want in zip((echo, *models), expected, strict=True):
+            # relative to the array's largest entry: the sum over targets cancels in places
+            gap = np.max(np.abs(np.sqrt(p_watts) * unit - want)) / np.max(np.abs(want))
+            assert gap <= 1e-14, (p_dbm, gap)
+
+
+def test_trial_data_is_built_once_per_sweep(monkeypatch):
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=1)
+    assert len(cfg.p_bs_dbm_sweep) == 11
+    calls = {"stage1_echo": 0, "stage2_model": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    harness._trial_data.cache_clear()
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        run_experiment(cfg)
+    assert calls == {"stage1_echo": 1, "stage2_model": len(cfg.scene.irs)}
 
 
 def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
     configs = [ExperimentConfig.from_yaml(str(CONFIGS / name))
                for name in ("multi_target.yaml", "single_target.yaml")]  # joint, sequential
     for cfg in configs:
-        power_point(cfg, 40.0)
+        run_trial(cfg, 40.0, 0)
     expected = [attach_crb(cfg, 40.0) for cfg in configs]
 
     def trial_only(*args, **kwargs):
@@ -143,11 +173,12 @@ def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
 
     # cold caches: the bound factors are rebuilt without any trial invariant
     harness._bound_factors.cache_clear()
-    harness._scene_invariants.cache_clear()
+    harness._trial_data.cache_clear()
     for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
         monkeypatch.setattr(harness, name, trial_only)
     assert [attach_crb(cfg, 40.0) for cfg in configs] == expected
     assert harness._bound_factors.cache_info().misses == len(configs)
+    assert harness._trial_data.cache_info().currsize == 0
 
 
 def test_codebook_table_and_scan_plans_are_built_once_per_shape():
@@ -160,8 +191,8 @@ def test_codebook_table_and_scan_plans_are_built_once_per_shape():
             a[0] = 0
     cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=1)
     assert len(cfg.p_bs_dbm_sweep) == 11
-    # the per-scene truth, regime and bound factors are built once per sweep, too
-    caches = (_dft_table, _scan_plan, harness._permutations, harness._scene_invariants,
+    # the per-scene trial data and bound factors are built once per sweep, too
+    caches = (_dft_table, _scan_plan, harness._permutations, harness._trial_data,
               harness._bound_factors)
     for cache in caches:
         cache.cache_clear()
@@ -174,7 +205,7 @@ def test_codebook_table_and_scan_plans_are_built_once_per_shape():
 
 def test_power_is_checked_outside_the_config_sweep():
     cfg = tiny_config()
-    for p_dbm in (float("nan"), float("inf")):
+    for p_dbm in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(InvalidArgumentError, match="transmit power"):
             attach_crb(cfg, p_dbm)
         with pytest.raises(InvalidArgumentError, match="transmit power"):
@@ -393,6 +424,14 @@ def test_t2_sweep_has_t2_column():
     assert all("rmse_mu_i2t" in r for r in rows)
 
 
+def test_t2_sweep_rejects_a_non_integer_t2():
+    cfg = tiny_config(trials=1)
+    for bad in (10.7, True, "9"):
+        with pytest.raises(InvalidArgumentError, match=f"t2_y {bad!r} must be an integer"):
+            run_t2_sweep(cfg, [bad], p_bs_dbm=30.0)
+    assert [r["t2"] for r in run_t2_sweep(cfg, [np.int64(9)], p_bs_dbm=30.0)] == [9]
+
+
 def _cells_run_alone(config, x_values, y_values, p_dbm, target_z=0.0):
     """Each area-sweep cell's row from run_trial on that cell's config alone; None if degenerate."""
     rows = []
@@ -439,7 +478,7 @@ def test_doa_snapshot_rejects_a_surface_index_outside_the_scene():
         with pytest.raises(InvalidArgumentError, match="irs_index"):
             run_doa_snapshot(cfg, irs_index=bad)
     rows = run_doa_snapshot(cfg, irs_index=2)
-    truth = harness._scene_invariants(cfg.scene)[1]
+    truth = harness._scene_truth(cfg.scene)[1]
     assert [[r["mu_i2t_true"], r["nu_i2t_true"]] for r in rows] == truth[2].tolist()
 
 

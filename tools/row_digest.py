@@ -17,6 +17,12 @@ every matrix config and the `irsloc crb` table of every matrix config (its
 four bound columns and crb_trace_stage1 for the DFT codebook sent at each
 power), and --check-bounds compares them within BOUNDS_RTOL relative and names
 the run key and entry index of the worst gap.
+
+The area sweep includes a seam-tie cell: its target at (0, 0, 0) sits
+straight below the BS (nu = -1), where an even n_z gives the MUSIC axis ends
++-1 the same steering row up to a global sign, so the stage-1 pick between
+them follows rounding, and a change that reorders floating-point work can
+move that row alone.
 """
 
 from __future__ import annotations
