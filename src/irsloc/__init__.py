@@ -70,6 +70,7 @@ from .stage1 import (
     MusicEstimate,
     SnapshotBlock,
     music_estimate,
+    music_estimates,
     music_spectrum,
     sample_covariance,
     signal_noise_subspaces,

@@ -45,8 +45,14 @@ def top_peaks_2d(values: np.ndarray, k: int, suppression_radius: int) -> list[tu
     """Up to k local maxima, greedily accepted in decreasing value with Chebyshev NMS.
 
     Ties are broken by the lowest (row, col) index so reruns are deterministic.
-    Returns fewer than k entries when the grid does not support them.
+    Returns fewer than k entries when the grid does not support them.  For
+    k = 1 the first accepted peak is the global maximum, lowest index on
+    ties, which is the first argmax unless the grid holds a NaN.
     """
+    if k == 1 and values.size:
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        if not np.isnan(values[i, j]):  # argmax returns the first NaN if there is one
+            return [(int(i), int(j))]
     mask = local_maxima_2d(values)
     return strongest_separated(np.argwhere(mask), values[mask], k, suppression_radius)
 

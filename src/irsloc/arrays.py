@@ -138,6 +138,12 @@ def spatial_doa(from_pos: Position3, to_pos: Position3, spacing_over_lambda: flo
     return SpatialAnglePair(float(scale * diff[1] / dist), float(scale * diff[2] / dist))
 
 
+def check_power(power: float) -> None:
+    """InvalidArgumentError unless the transmit power (watts) is finite and positive."""
+    if not (np.isfinite(power) and power > 0):
+        raise InvalidArgumentError(f"transmit power {power!r} must be finite and positive")
+
+
 def dft_codebook(n: int, t: int, power: float) -> np.ndarray:
     """DFT probing codebook, one codeword per column (n x t).
 
@@ -148,8 +154,7 @@ def dft_codebook(n: int, t: int, power: float) -> np.ndarray:
     """
     if n < 1 or t < 1:
         raise InvalidArgumentError("codebook dimensions must be >= 1")
-    if not (np.isfinite(power) and power > 0):
-        raise InvalidArgumentError(f"transmit power {power!r} must be finite and positive")
+    check_power(power)
     if t < n:
         warnings.warn(f"codebook with t={t} < n={n} columns cannot be spatially white", stacklevel=2)
     return np.sqrt(power / n) * _dft_table(n, t)

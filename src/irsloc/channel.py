@@ -213,13 +213,16 @@ def check_unit_modulus(phases: np.ndarray) -> None:
 
 
 def add_circular_noise(signal: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """signal plus i.i.d. CN(0, variance) entries as a new array; all real parts are drawn first."""
-    scale = np.sqrt(variance / 2.0)
-    out = np.empty(signal.shape, dtype=complex)
-    np.multiply(scale, rng.standard_normal(signal.shape), out=out.real)
-    np.multiply(scale, rng.standard_normal(signal.shape), out=out.imag)
-    out += signal
-    return out
+    """Add i.i.d. CN(0, variance) entries into the complex array signal and return it.
+
+    One normal block holds all real parts, drawn first, then all imaginary
+    parts.  signal is written, so a caller passes an array of its own.
+    """
+    noise = rng.standard_normal((2, *signal.shape))
+    noise *= np.sqrt(variance / 2.0)
+    signal.real += noise[0]
+    signal.imag += noise[1]
+    return signal
 
 
 def stage2_effective_channel(geometry: SceneGeometry, irs_index: int, target_index: int,

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import stage2
-from .arrays import Position3, SpatialAnglePair, UpaConfig, dft_codebook, is_number
+from .arrays import Position3, SpatialAnglePair, UpaConfig, check_power, dft_codebook, is_number
 from .channel import SceneGeometry, dbm_to_watts
 # fim_stage1, fim_stage2_case1/case2: unused, but perfbench traces them by name here
 from .crb import (
@@ -41,7 +41,14 @@ from .crb import (
 from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
-from .stage1 import music_estimate, sample_covariance, stage1_echo, synthesize_stage1
+from .stage1 import (
+    MusicEstimate,
+    music_estimate,
+    music_estimates,
+    sample_covariance,
+    stage1_echo,
+    synthesize_stage1,
+)
 # joint_codewords, sequential_codewords: unused, but perfbench traces them by name here
 from .stage2 import (
     Stage2Mode,
@@ -205,6 +212,14 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
+    """One trial's truth, estimates and outcome.
+
+    wall_time_s is the time run_trial took.  Run alone that is the whole
+    trial; in a sweep the point's stage-1 searches run stacked before the
+    trials (_sweep_point), so it covers stage 2, localization and the
+    record, not stage 1.
+    """
+
     trial_index: int
     seed: int
     p_bs_dbm: float
@@ -300,27 +315,49 @@ def _trial_data(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int,
     return (*truth, classify_regime(scene, 0, 0).regime.value, plans, echo, models)
 
 
+def _stage_seed(seed: int, stage: int) -> int:
+    """The seed of one stage of a trial: stage 0 is stage 1, stage 1 + i is surface i's scan.
+
+    SeedSequence(seed).spawn(n)[stage] is SeedSequence(seed, spawn_key=(stage,)),
+    built here without its parent and siblings.
+    """
+    return int(np.random.SeedSequence(seed, spawn_key=(stage,)).generate_state(1, np.uint64)[0])
+
+
+def _amplitude(p_bs_dbm: float) -> float:
+    """sqrt(P) of the transmit power, which must be finite and positive."""
+    p_watts = dbm_to_watts(p_bs_dbm)
+    check_power(p_watts)
+    return np.sqrt(p_watts)
+
+
+def _stage1_samples(config: ExperimentConfig, echo: np.ndarray, seed: int) -> np.ndarray:
+    """A trial's noisy stage-1 snapshots: its seeded noise added into echo, which it consumes."""
+    return synthesize_stage1(config.scene, None, config.noise_var, _stage_seed(seed, 0),
+                             echo=echo).samples
+
+
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
-              trial_index: int = 0) -> TrialRecord:
+              trial_index: int = 0, *,
+              music: MusicEstimate | IrslocError | None = None) -> TrialRecord:
     """One full pipeline pass at one power point, deterministic under the seed.
 
     The trial only scales its scene's cached unit-power signals (_trial_data),
-    draws noise and estimates.  Estimation failures are recorded in the
-    returned record; a degenerate scene or a transmit power that is not finite
-    and positive raises before any estimate.
+    draws noise and estimates.  music is the trial's stage-1 result, or the
+    IrslocError that ended it, from music_estimates over the same seeded
+    snapshots; a trial run alone searches its own, a batch of one.
+    Estimation failures are recorded in the returned record; a degenerate
+    scene or a transmit power that is not finite and positive raises before
+    any estimate.
     """
     scene = config.scene
     true_bs, true_irs, true_pos, regime, plans, echo, models = _trial_data(
         scene, config.t1, config.t2_y, config.t2_z, config.stage2_mode)
-    p_watts = dbm_to_watts(p_bs_dbm)
-    amplitude = np.sqrt(p_watts)
+    amplitude = _amplitude(p_bs_dbm)
     k = config.n_targets
     m = len(scene.irs)
     noise_var = config.noise_var
     start = time.perf_counter()
-
-    children = np.random.SeedSequence(seed).spawn(1 + m)
-    stage_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
     record = TrialRecord(
         trial_index=trial_index, seed=seed, p_bs_dbm=p_bs_dbm,
@@ -329,18 +366,18 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
         true_positions=true_pos, est_positions=None,
         regime=regime, wall_time_s=0.0,
     )
-    # outside the try, as the codebook checks the power; inline, so no (N_BS, T1) copy outlives it
-    block = synthesize_stage1(scene, dft_codebook(scene.n_bs, config.t1, p_watts), noise_var,
-                              stage_seeds[0], echo=amplitude * echo)
     try:
-        music = music_estimate(block.samples, scene.bs_upa, k, config.music_grid,
-                               config.music_refine_levels)
+        if music is None:
+            music = music_estimate(_stage1_samples(config, amplitude * echo, seed), scene.bs_upa,
+                                   k, config.music_grid, config.music_refine_levels)
+        elif isinstance(music, IrslocError):
+            raise music
         est_bs = music.angles
         record.est_bs_doas = _align(true_bs, _angles_to_array(est_bs))
 
         est_irs: list[list[SpatialAnglePair]] = []
         for i, plan in enumerate(plans):
-            obs = synthesize_stage2(scene, i, plan, noise_var, stage_seeds[1 + i],
+            obs = synthesize_stage2(scene, i, plan, noise_var, _stage_seed(seed, 1 + i),
                                     joint=config.joint_scan, model=amplitude * models[i])
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
@@ -387,10 +424,11 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
     been seen; the probing codebook comes from its builder, never a trial's.
     """
     noise_var = config.noise_var
+    p_watts = dbm_to_watts(p_bs_dbm)
+    check_power(p_watts)
     if noise_var <= 0:
         return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
                                      "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    p_watts = dbm_to_watts(p_bs_dbm)
     probing = dft_codebook(config.scene.n_bs, config.t1, p_watts)
     factors1, factors2 = _factors(config)
     s1 = assemble_stage1(factors1, probing, noise_var)
@@ -457,9 +495,22 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
 
 
 def _sweep_point(config: ExperimentConfig, p_dbm: float, sweep_index: int) -> list[TrialRecord]:
-    """The seeded trials of one sweep point; IrslocError if the scene is degenerate."""
-    return [run_trial(config, p_dbm, trial_seed(config.base_seed, sweep_index, t), t)
-            for t in range(config.trials)]
+    """The seeded trials of one sweep point; IrslocError if the scene is degenerate.
+
+    Stage 1 runs first for every trial: each trial's snapshots and signal
+    subspace on their own, then the searches stacked (music_estimates).
+    Each trial then runs through run_trial with its stage-1 result, so every
+    record equals the one the same trial gives run alone.
+    """
+    scene = config.scene
+    *_, echo, _ = _trial_data(scene, config.t1, config.t2_y, config.t2_z, config.stage2_mode)
+    amplitude = _amplitude(p_dbm)
+    seeds = [trial_seed(config.base_seed, sweep_index, t) for t in range(config.trials)]
+    music = music_estimates((_stage1_samples(config, amplitude * echo, seed) for seed in seeds),
+                            scene.bs_upa, config.n_targets, config.music_grid,
+                            config.music_refine_levels)
+    return [run_trial(config, p_dbm, seed, t, music=result)
+            for t, (seed, result) in enumerate(zip(seeds, music))]
 
 
 def run_experiment(config: ExperimentConfig,

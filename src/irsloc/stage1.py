@@ -11,12 +11,16 @@ carry the grid search.  The search samples the grid at quarter-beamwidth
 strides and evaluates the full resolution only where a peak can be: around
 the strongest coarse maxima and the coarse nodes nearly as strong as the
 weakest pick.  Grid rows come from read-only steering tables built once per
-grid resolution and array size.
+grid resolution and array size.  The searches of several snapshot blocks run
+as one stacked pass (music_estimates), each block getting exactly the
+estimate it gets alone; a sweep searches its trials' blocks that way.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +34,15 @@ from .channel import (  # channel_btb: unused, but perfbench traces it by name h
     channel_btb,
     path_gain,
 )
-from .errors import InvalidArgumentError, UnderResolvedError
+from .errors import InvalidArgumentError, IrslocError, UnderResolvedError
 
 DEFAULT_GRID_RESOLUTION = 2e-3
 PEAK_SUPPRESSION_RADIUS = 3  # grid steps
 MIN_COARSE_STRIDE = 3  # grid steps; finer strides search the dense grid
 EXTRA_COARSE_CANDIDATES = 8  # coarse maxima zoomed beyond the k requested peaks
 ZOOM_MARGIN = 5e-3  # relative; coarse nodes this close to the weakest pick are zoomed too
+SEARCH_BATCH = 8  # blocks per stacked search; bounds the memory of the stacked grids
+ZOOM_NODES = 1 << 14  # grid nodes per stacked zoom evaluation; bounds its memory
 
 
 @dataclass
@@ -71,16 +77,18 @@ def stage1_echo(geometry: SceneGeometry, probing: np.ndarray) -> np.ndarray:
     return y
 
 
-def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray,
+def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray | None,
                       noise_var: float, seed: int, *,
                       echo: np.ndarray | None = None) -> SnapshotBlock:
     """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
 
     echo is stage1_echo(geometry, probing), built here unless the caller
-    passes one; it is never written.  The echo is linear in the probing
-    amplitude, so a caller keeps the unit-power echo and passes sqrt(P) times
-    it.  Per-entry noise variance is noise_var (real/imag each noise_var/2);
-    deterministic under the seed.
+    passes one (probing may then be None).  The noise is added into the echo
+    and the result is Y, so a passed echo must be the caller's own array:
+    the echo is linear in the probing amplitude, so a caller keeps the
+    unit-power echo and passes sqrt(P) times it, a new array.  Per-entry
+    noise variance is noise_var (real/imag each noise_var/2); deterministic
+    under the seed.
     """
     y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:
@@ -127,21 +135,31 @@ def _signal_subspace(x: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.qr(x @ v)[0]
 
 
-def _deficit(u_s: np.ndarray, cfg: UpaConfig, a_mu: np.ndarray, a_nu: np.ndarray) -> np.ndarray:
+def _columns(u_s: np.ndarray, cfg: UpaConfig) -> list[np.ndarray]:
+    """The conjugated columns of U_s, each laid out on the (n_y, n_z) element grid."""
+    return [u_s[:, col].reshape(cfg.n_y, cfg.n_z).conj() for col in range(u_s.shape[1])]
+
+
+def _deficit(signal: Iterable[np.ndarray], a_mu: np.ndarray, a_nu: np.ndarray) -> np.ndarray:
     """||a||^2 - ||U_s^H a||^2 for every row of a_mu against every row of a_nu.
 
+    signal yields U_s's columns from _columns, evaluated one at a time.
     a_mu (..., I, n_y) and a_nu (..., J, n_z) hold steering rows; leading
-    axes batch independent grids.  Equals a^H U_n U_n^H a.
+    axes batch independent grids, and a column's leading axes give each grid
+    its own U_s.  Equals a^H U_n U_n^H a.
     """
-    n = cfg.n
+    n = a_mu.shape[-1] * a_nu.shape[-1]
     a_nu_t = np.swapaxes(a_nu, -1, -2)
-    power = 0.0
-    for col in range(u_s.shape[1]):
-        s = u_s[:, col].reshape(cfg.n_y, cfg.n_z)
-        c = a_mu @ s.conj() @ a_nu_t
-        power = power + np.abs(c) ** 2
-    deficit = n - power
-    return np.maximum(deficit, n * 1e-15)
+    power = None
+    for s in signal:
+        square = np.abs(a_mu @ s @ a_nu_t)
+        square **= 2
+        if power is None:
+            power = square
+        else:
+            power += square
+    np.subtract(n, power, out=power)
+    return np.maximum(power, n * 1e-15, out=power)
 
 
 def _axis(resolution: float) -> np.ndarray:
@@ -164,6 +182,29 @@ def _tables(cfg: UpaConfig, grid_resolution: float) -> tuple[np.ndarray, np.ndar
     return _steering_table(grid_resolution, cfg.n_y), _steering_table(grid_resolution, cfg.n_z)
 
 
+def _coarse_stride(grid_resolution: float, n_y: int, n_z: int) -> int:
+    """Coarse search stride in grid nodes: at most a quarter beamwidth (2/n per axis)."""
+    return int(1.0 / (2 * max(n_y, n_z) * grid_resolution))
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_grid(grid_resolution: float, n_y: int, n_z: int) -> tuple[np.ndarray, ...]:
+    """Read-only coarse search grid: (axis nodes, their n_y rows, their n_z rows).
+
+    The nodes are every _coarse_stride-th node of _axis(grid_resolution) and
+    the last one; their rows come from the steering tables.
+    """
+    table_y, table_z = _steering_table(grid_resolution, n_y), _steering_table(grid_resolution, n_z)
+    n_axis = table_y.shape[0]
+    nodes = np.arange(0, n_axis, _coarse_stride(grid_resolution, n_y, n_z))
+    if nodes[-1] != n_axis - 1:
+        nodes = np.append(nodes, n_axis - 1)
+    grid = (nodes, table_y[nodes], table_z[nodes])
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
 def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
                    grid_resolution: float = DEFAULT_GRID_RESOLUTION,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,25 +214,33 @@ def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
     _signal_subspace).  Returns (mu_axis, nu_axis, values) with values[i, j] at
     (mu_axis[i], nu_axis[j]).
     """
-    u_s = _signal_subspace(cov, k)
+    signal = _columns(_signal_subspace(cov, k), cfg)
     return (_axis(grid_resolution), _axis(grid_resolution),
-            1.0 / _deficit(u_s, cfg, *_tables(cfg, grid_resolution)))
+            1.0 / _deficit(signal, *_tables(cfg, grid_resolution)))
 
 
-def _zoom(u_s: np.ndarray, cfg: UpaConfig, table_y: np.ndarray, table_z: np.ndarray,
-          centers: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-resolution local maxima within `reach` nodes of each (i, j) center: (nodes, values).
+def _zoom(signal: list[np.ndarray], owner: np.ndarray, table_y: np.ndarray, table_z: np.ndarray,
+          centers: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-resolution local maxima within `reach` nodes of each (i, j) center.
 
-    table_y and table_z hold the steering rows of the axis nodes.  A node
-    counts only when all eight of its neighbours were evaluated, so every
-    node returned is a local maximum of the dense spectrum too.
+    Window w searches the spectrum of block owner[w], whose U_s columns are
+    signal[c][owner[w]].  Returns (owner, node, value) of every maximum,
+    window by window.  table_y and table_z hold the steering rows of the axis
+    nodes.  A node counts only when all eight of its neighbours were
+    evaluated, so every node returned is a local maximum of the dense
+    spectrum too.
     """
     n_axis = table_y.shape[0]
     size = 2 * reach + 3  # reach <= 1 / (2 grid_resolution) keeps it inside the axis
+    per_call = max(1, ZOOM_NODES // size**2)
+    if len(owner) > per_call:
+        parts = [_zoom(signal, owner[w:w + per_call], table_y, table_z, centers[w:w + per_call], reach)
+                 for w in range(0, len(owner), per_call)]
+        return tuple(np.concatenate(found) for found in zip(*parts))
     starts = np.clip(centers - reach - 1, 0, n_axis - size)  # (windows, 2)
     rows = starts[:, 0, None] + np.arange(size)
     cols = starts[:, 1, None] + np.arange(size)
-    spectrum = 1.0 / _deficit(u_s, cfg, table_y[rows], table_z[cols])
+    spectrum = 1.0 / _deficit((s[owner] for s in signal), table_y[rows], table_z[cols])
     mask = local_maxima_2d(spectrum)
     # A window edge inside the grid has unevaluated neighbours beyond it.
     mask[starts[:, 0] > 0, 0, :] = False
@@ -199,18 +248,19 @@ def _zoom(u_s: np.ndarray, cfg: UpaConfig, table_y: np.ndarray, table_z: np.ndar
     mask[starts[:, 1] > 0, :, 0] = False
     mask[starts[:, 1] + size < n_axis, :, -1] = False
     w, r, c = np.nonzero(mask)
-    return np.stack([rows[w, r], cols[w, c]], axis=1), spectrum[w, r, c]
+    return owner[w], np.stack([rows[w, r], cols[w, c]], axis=1), spectrum[w, r, c]
 
 
-def _search_grid(u_s: np.ndarray, cfg: UpaConfig, grid_resolution: float,
-                 k: int) -> list[tuple[int, int, float]]:
-    """The (i, j, value) nodes that top_peaks_2d picks from the dense spectrum on _axis x _axis.
+def _search_grid(signal: list[np.ndarray], cfg: UpaConfig, grid_resolution: float,
+                 k: int) -> list[list[tuple[int, int, float]]]:
+    """Per block, the (i, j, value) nodes that top_peaks_2d picks from its dense spectrum on _axis x _axis.
 
-    The spectrum has no feature narrower than a beamwidth (2/n per axis), so
-    it is first sampled every `stride` nodes, at most a quarter beamwidth
-    apart.  Coarse nodes are then zoomed: the nodes around them are
-    evaluated at full resolution, and the local maxima found go through the
-    same tie rule and suppression as top_peaks_2d.
+    signal[c][b] is column c of block b's U_s (see _columns).  The spectrum
+    has no feature narrower than a beamwidth (2/n per axis), so it is first
+    sampled every `stride` nodes, at most a quarter beamwidth apart.  Coarse
+    nodes are then zoomed: the nodes around them are evaluated at full
+    resolution, and the local maxima found go through the same tie rule and
+    suppression as top_peaks_2d.
       1. The strongest coarse local maxima, EXTRA_COARSE_CANDIDATES more than
          k because coarse sampling can misorder sharp peaks, are zoomed one
          stride wide: a coarse maximum has its dense maximum within a stride.
@@ -220,56 +270,142 @@ def _search_grid(u_s: np.ndarray, cfg: UpaConfig, grid_resolution: float,
          beamwidth costs a noise-level maximum about 0.2% of its value; this
          finds maxima without a coarse maximum of their own, such as a weak
          one on the flank of a stronger lobe.
-    Strides below MIN_COARSE_STRIDE, and searches that find fewer than k
-    peaks, use the dense grid instead.  Every grid row is read from the
+    The blocks share each step: one coarse evaluation, then one zoom call
+    per round for the windows of every block still zooming.  Strides below
+    MIN_COARSE_STRIDE, and blocks whose search finds fewer than k peaks,
+    use the dense grid instead.  Every grid row is read from the
     resolution's steering tables.
     """
     table_y, table_z = _tables(cfg, grid_resolution)
-    n_axis = table_y.shape[0]
-    stride = int(1.0 / (2 * max(cfg.n_y, cfg.n_z) * grid_resolution))
+    n_blocks = len(signal[0])
+    picks: list = [None] * n_blocks
+    stride = _coarse_stride(grid_resolution, cfg.n_y, cfg.n_z)
     if stride >= MIN_COARSE_STRIDE:
-        coarse = np.unique(np.append(np.arange(0, n_axis, stride), n_axis - 1))
-        coarse_spectrum = 1.0 / _deficit(u_s, cfg, table_y[coarse], table_z[coarse])
+        coarse, coarse_y, coarse_z = _coarse_grid(grid_resolution, cfg.n_y, cfg.n_z)
+        coarse_spectrum = 1.0 / _deficit(signal, coarse_y, coarse_z)
         zoomed = np.zeros(coarse_spectrum.shape, dtype=bool)
-        zoomed[tuple(np.array(top_peaks_2d(coarse_spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
-        nodes, values = _zoom(u_s, cfg, table_y, table_z, coarse[np.argwhere(zoomed)], stride)
+        for b, spectrum in enumerate(coarse_spectrum):
+            zoomed[b][tuple(np.array(top_peaks_2d(spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
+        windows = np.argwhere(zoomed)  # (block, i, j), block by block
+        found = _zoom(signal, windows[:, 0], table_y, table_z, coarse[windows[:, 1:]], stride)
+        nodes = [np.empty((0, 2), dtype=int)] * n_blocks
+        values = [np.empty(0)] * n_blocks
+        zooming = range(n_blocks)
         while True:
-            nodes, first = np.unique(nodes, axis=0, return_index=True)  # zooms may overlap
-            values = values[first]
-            peaks = strongest_separated(nodes, values, k, PEAK_SUPPRESSION_RADIUS)
-            if len(peaks) < k:
+            more_windows = []
+            for b in zooming:
+                mine = found[0] == b
+                nodes[b], first = np.unique(np.concatenate([nodes[b], found[1][mine]]),
+                                            axis=0, return_index=True)  # zooms may overlap
+                values[b] = np.concatenate([values[b], found[2][mine]])[first]
+                peaks = strongest_separated(nodes[b], values[b], k, PEAK_SUPPRESSION_RADIUS)
+                if len(peaks) < k:
+                    continue
+                lookup = {(int(i), int(j)): float(v) for (i, j), v in zip(nodes[b], values[b])}
+                picked = [(i, j, lookup[i, j]) for i, j in peaks]
+                more = (coarse_spectrum[b] >= (1.0 - ZOOM_MARGIN) * picked[-1][2]) & ~zoomed[b]
+                if not more.any():
+                    picks[b] = picked
+                    continue
+                zoomed[b] |= more
+                more_windows.append((b, np.argwhere(more)))
+            if not more_windows:
                 break
-            lookup = {(int(i), int(j)): float(v) for (i, j), v in zip(nodes, values)}
-            picked = [(i, j, lookup[i, j]) for i, j in peaks]
-            more = (coarse_spectrum >= (1.0 - ZOOM_MARGIN) * picked[-1][2]) & ~zoomed
-            if not more.any():
-                return picked
-            zoomed |= more
-            new_nodes, new_values = _zoom(u_s, cfg, table_y, table_z, coarse[np.argwhere(more)],
-                                          (stride + 1) // 2)
-            nodes = np.concatenate([nodes, new_nodes])
-            values = np.concatenate([values, new_values])
-    spectrum = 1.0 / _deficit(u_s, cfg, table_y, table_z)
-    return [(i, j, float(spectrum[i, j]))
-            for i, j in top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)]
+            zooming = [b for b, _ in more_windows]
+            owner = np.concatenate([np.full(len(centers), b) for b, centers in more_windows])
+            centers = coarse[np.concatenate([centers for _, centers in more_windows])]
+            found = _zoom(signal, owner, table_y, table_z, centers, (stride + 1) // 2)
+    for b in range(n_blocks):
+        if picks[b] is None:
+            spectrum = 1.0 / _deficit([s[b] for s in signal], table_y, table_z)
+            picks[b] = [(i, j, float(spectrum[i, j]))
+                        for i, j in top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)]
+    return picks
 
 
-def _refine_peak(u_s: np.ndarray, cfg: UpaConfig, mu0: float, nu0: float,
-                 step: float, levels: int) -> tuple[float, float, float, float]:
-    """Zoom the spectrum around one peak; each level shrinks the step tenfold."""
-    value = np.nan
+def _refine_peaks(signal: list[np.ndarray], owner: np.ndarray, mu0: np.ndarray, nu0: np.ndarray,
+                  cfg: UpaConfig, step: float, levels: int) -> tuple[np.ndarray, ...]:
+    """Zoom the spectrum around each peak; each level shrinks the step tenfold.
+
+    Peak p lies in the spectrum of block owner[p] (see _zoom), and every
+    level evaluates the 21 x 21 local grids of all peaks in one pass.
+    Returns (mu, nu, value, final step).
+    """
+    signal = [s[owner] for s in signal]
+    peaks = np.arange(len(owner))
     for _ in range(levels):
-        mu_lo, mu_hi = max(-1.0, mu0 - step), min(1.0, mu0 + step)
-        nu_lo, nu_hi = max(-1.0, nu0 - step), min(1.0, nu0 + step)
-        mu_axis = np.linspace(mu_lo, mu_hi, 21)
-        nu_axis = np.linspace(nu_lo, nu_hi, 21)
-        deficit = _deficit(u_s, cfg, steering_matrix(mu_axis, cfg.n_y),
-                           steering_matrix(nu_axis, cfg.n_z))
-        i, j = np.unravel_index(np.argmin(deficit), deficit.shape)
-        mu0, nu0 = float(mu_axis[i]), float(nu_axis[j])
-        value = 1.0 / float(deficit[i, j])
+        mu_axis = np.linspace(np.maximum(-1.0, mu0 - step), np.minimum(1.0, mu0 + step), 21, axis=-1)
+        nu_axis = np.linspace(np.maximum(-1.0, nu0 - step), np.minimum(1.0, nu0 + step), 21, axis=-1)
+        deficit = _deficit(signal, steering_matrix(mu_axis.ravel(), cfg.n_y).reshape(-1, 21, cfg.n_y),
+                           steering_matrix(nu_axis.ravel(), cfg.n_z).reshape(-1, 21, cfg.n_z))
+        i, j = np.divmod(deficit.reshape(len(owner), -1).argmin(axis=1), 21)
+        mu0, nu0 = mu_axis[peaks, i], nu_axis[peaks, j]
+        value = 1.0 / deficit[peaks, i, j]
         step /= 10.0
     return mu0, nu0, value, step
+
+
+def _subspace_or_error(x: np.ndarray, k: int) -> np.ndarray | IrslocError:
+    try:
+        return _signal_subspace(x, k)
+    except IrslocError as exc:
+        return exc
+
+
+def _search(subspaces: list[np.ndarray], cfg: UpaConfig, k: int, grid_resolution: float,
+            refine_levels: int) -> list[MusicEstimate | UnderResolvedError]:
+    """The estimate of each signal subspace, from one stacked search and refinement."""
+    if not subspaces:
+        return []
+    signal = [np.stack(column) for column in zip(*(_columns(u_s, cfg) for u_s in subspaces))]
+    picks = _search_grid(signal, cfg, grid_resolution, k)
+    resolved = [b for b, peaks in enumerate(picks) if len(peaks) == k]
+    nodes = np.array([(i, j) for b in resolved for i, j, _ in picks[b]], dtype=int).reshape(-1, 2)
+    axis = _axis(grid_resolution)
+    mu, nu = axis[nodes[:, 0]], axis[nodes[:, 1]]
+    value = np.array([v for b in resolved for *_, v in picks[b]])
+    step = grid_resolution
+    if refine_levels > 0 and resolved:
+        mu, nu, value, step = _refine_peaks(signal, np.repeat(resolved, k), mu, nu, cfg,
+                                            grid_resolution, refine_levels)
+    out: list = []
+    first = 0  # the block's first peak in mu, nu and value
+    for peaks in picks:
+        if len(peaks) < k:
+            out.append(UnderResolvedError(f"found {len(peaks)} spectrum peaks, need {k}",
+                                          found=len(peaks)))
+            continue
+        mine = slice(first, first + k)
+        first += k
+        order = np.argsort(value[mine])[::-1]
+        out.append(MusicEstimate(
+            angles=[SpatialAnglePair(float(mu[mine][o]), float(nu[mine][o])) for o in order],
+            spectrum_peak_values=[float(value[mine][o]) for o in order],
+            grid_resolution=step,
+        ))
+    return out
+
+
+def music_estimates(blocks: Iterable[np.ndarray], cfg: UpaConfig, k: int,
+                    grid_resolution: float = DEFAULT_GRID_RESOLUTION,
+                    refine_levels: int = 1) -> list[MusicEstimate | IrslocError]:
+    """music_estimate of every block, with the searches of SEARCH_BATCH blocks stacked.
+
+    Each block's signal subspace is found on its own as it arrives, so a
+    generator of blocks keeps one block alive at a time.  Then each batch's
+    coarse grids, zoom rounds and refinement levels run as one stacked pass,
+    and every block gets exactly the estimate music_estimate gives it alone.
+    An IrslocError that ends a block's estimate (too few columns for k, or
+    fewer than k peaks) takes that block's place in the list; the other
+    blocks are searched as usual.
+    """
+    subspaces = (_subspace_or_error(block, k) for block in blocks)
+    results: list = []
+    while batch := list(itertools.islice(subspaces, SEARCH_BATCH)):
+        searched = iter(_search([u for u in batch if not isinstance(u, IrslocError)], cfg, k,
+                                grid_resolution, refine_levels))
+        results += [u if isinstance(u, IrslocError) else next(searched) for u in batch]
+    return results
 
 
 def music_estimate(cov: np.ndarray, cfg: UpaConfig, k: int,
@@ -286,26 +422,10 @@ def music_estimate(cov: np.ndarray, cfg: UpaConfig, k: int,
     resolution around the strongest coarse maxima and around every coarse
     node nearly as strong as the weakest pick (see _search_grid).  Each
     refinement level re-searches a 10x finer local grid around a peak.
-    Raises UnderResolvedError when fewer than k peaks exist.
+    A batch of one of music_estimates.  Raises UnderResolvedError when
+    fewer than k peaks exist.
     """
-    u_s = _signal_subspace(cov, k)
-    axis = _axis(grid_resolution)
-    peaks = _search_grid(u_s, cfg, grid_resolution, k)
-    if len(peaks) < k:
-        raise UnderResolvedError(f"found {len(peaks)} spectrum peaks, need {k}", found=len(peaks))
-
-    angles: list[SpatialAnglePair] = []
-    values: list[float] = []
-    final_step = grid_resolution
-    for i, j, val in peaks:
-        mu0, nu0 = float(axis[i]), float(axis[j])
-        if refine_levels > 0:
-            mu0, nu0, val, final_step = _refine_peak(u_s, cfg, mu0, nu0, grid_resolution, refine_levels)
-        angles.append(SpatialAnglePair(mu0, nu0))
-        values.append(val)
-    order = np.argsort(values)[::-1]
-    return MusicEstimate(
-        angles=[angles[int(o)] for o in order],
-        spectrum_peak_values=[values[int(o)] for o in order],
-        grid_resolution=final_step if refine_levels > 0 else grid_resolution,
-    )
+    (result,) = music_estimates([cov], cfg, k, grid_resolution, refine_levels)
+    if isinstance(result, IrslocError):
+        raise result
+    return result

@@ -39,7 +39,7 @@ from irsloc.arrays import _dft_table, dft_codebook
 from irsloc.channel import dbm_to_watts
 from irsloc.crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
 from irsloc.localization import DoAPairObservation, construct_location
-from irsloc.stage1 import _steering_table, stage1_echo
+from irsloc.stage1 import SEARCH_BATCH, _steering_table, stage1_echo
 from irsloc.stage2 import (
     KroneckerCodewords,
     _scan_plan,
@@ -204,12 +204,91 @@ def test_codebook_table_and_scan_plans_are_built_once_per_shape():
 
 
 def test_power_is_checked_outside_the_config_sweep():
-    cfg = tiny_config()
-    for p_dbm in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(InvalidArgumentError, match="transmit power"):
-            attach_crb(cfg, p_dbm)
-        with pytest.raises(InvalidArgumentError, match="transmit power"):
-            run_trial(cfg, p_dbm, 0)
+    for cfg in (tiny_config(), tiny_config(noise_dbm=float("-inf"))):
+        for p_dbm in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidArgumentError, match="transmit power"):
+                attach_crb(cfg, p_dbm)
+            with pytest.raises(InvalidArgumentError, match="transmit power"):
+                run_trial(cfg, p_dbm, 0)
+            with pytest.raises(InvalidArgumentError, match="transmit power"):
+                harness._sweep_point(cfg, p_dbm, 0)
+
+
+def test_stage_seeds_are_the_spawned_children():
+    for seed in (0, 77, trial_seed(20240601, 3, 5), (1 << 64) - 1):
+        children = np.random.SeedSequence(seed).spawn(4)
+        assert [harness._stage_seed(seed, i) for i in range(4)] == [
+            int(c.generate_state(1, np.uint64)[0]) for c in children]
+
+
+SWEEPS_RUN_ALONE = {
+    "single_target": ("single_target.yaml", 3),
+    "multi_target": ("multi_target.yaml", 3),
+    "more_trials_than_a_batch": ("single_target.yaml", SEARCH_BATCH + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS_RUN_ALONE))
+def test_every_sweep_record_equals_its_trial_run_alone(name):
+    # the sweep searches stage 1 in stacked batches; each trial run alone is a batch of one
+    path, trials = SWEEPS_RUN_ALONE[name]
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / path)), trials=trials,
+                  p_bs_dbm_sweep=[0.0, 40.0])
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        swept: list = []
+        run_experiment(cfg, swept)
+        assert len(swept) == 2 * trials
+        for record in swept:
+            s_idx = cfg.p_bs_dbm_sweep.index(record.p_bs_dbm)
+            alone = run_trial(cfg, record.p_bs_dbm,
+                              trial_seed(cfg.base_seed, s_idx, record.trial_index),
+                              record.trial_index)
+            _assert_same_record(alone, record)
+    assert not any(r.failed for r in swept if r.p_bs_dbm == 40.0)
+
+
+def test_an_under_resolved_trial_fails_alone_in_its_batch():
+    # at a 0.4 grid some seeds' stage-1 spectra hold one separated peak for two
+    # targets: those trials fail with the search's error and no BS estimate, and
+    # their batch-mates keep their stage-1 estimates (12 trials: two batches)
+    scene = replace(tiny_config().scene,
+                    irs=[Position3(-20.0, 0.0, 3.0), Position3(-5.0, -8.0, 4.0)],
+                    irs_upa=[UpaConfig(6, 6)] * 2,
+                    targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, -2.0, 1.0)],
+                    rcs_dbsm=[7.0, 7.0])
+    cfg = tiny_config(scene=scene, music_grid=0.4, trials=12, p_bs_dbm_sweep=[-10.0],
+                      joint_scan=True)
+    assert cfg.trials > SEARCH_BATCH
+    swept: list = []
+    run_experiment(cfg, swept)
+    under = [r.trial_index for r in swept
+             if r.failure == "UnderResolvedError: found 1 spectrum peaks, need 2"]
+    assert under == [4, 7]
+    assert all((r.est_bs_doas is None) == (r.trial_index in under) for r in swept)
+    for record in swept:
+        _assert_same_record(run_trial(cfg, -10.0, record.seed, record.trial_index), record)
+
+
+def test_undersampled_codebook_warns_at_most_once_per_power_point():
+    # t1 = 60 < N_BS = 400: the codebook warning comes from the bounds, once per
+    # power; a trial checks its power without building a codebook
+    cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=4)
+    run_trial(cfg, 40.0, 0)  # the scene's unit-power data, built once for the process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(cfg)
+    undersampled = [w for w in caught if "cannot be spatially white" in str(w.message)]
+    assert 0 < len(undersampled) <= len(cfg.p_bs_dbm_sweep)
+
+
+def test_sweep_leaves_the_cached_echo_unwritten():
+    cfg = tiny_config(trials=3)
+    run_experiment(cfg)
+    *_, echo, _ = _trial_data(cfg)
+    assert not echo.flags.writeable
+    expected = stage1_echo(cfg.scene, dft_codebook(cfg.scene.n_bs, cfg.t1, 1.0))
+    assert np.array_equal(echo, expected)
 
 
 def sent_codewords(cfg, p_watts):

@@ -25,6 +25,14 @@ def test_digest_matrix_starts_with_the_benchmark_workloads(row_digest):
     assert head == {name: (w["config"], w["overrides"]) for name, w in workloads.items()}
 
 
+def test_digest_matrix_spans_two_search_batches(row_digest):
+    from irsloc.stage1 import SEARCH_BATCH
+
+    spanning = [overrides["trials"] for _, overrides in row_digest.MATRIX.values()
+                if "trials" in overrides]
+    assert spanning == [SEARCH_BATCH + 1]
+
+
 def test_worst_bound_gap_names_its_run_and_entry(row_digest):
     saved = {"a 1": [1.0, 2.0, math.inf], "b 2": [4.0, 0.0, 8.0]}
     assert row_digest.worst_bound_gap(saved, saved) == (0.0, "a 1", 0)

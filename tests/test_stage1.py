@@ -11,6 +11,7 @@ from irsloc import (
     UpaConfig,
     dft_codebook,
     music_estimate,
+    music_estimates,
     music_spectrum,
     sample_covariance,
     signal_noise_subspaces,
@@ -19,7 +20,8 @@ from irsloc import (
 )
 from irsloc._gridpeaks import top_peaks_2d
 from irsloc.channel import channel_btb, dbm_to_watts
-from irsloc.stage1 import _signal_subspace
+from irsloc import stage1
+from irsloc.stage1 import SEARCH_BATCH, _coarse_grid, _coarse_stride, _signal_subspace, stage1_echo
 
 
 def small_scene(targets=None):
@@ -75,6 +77,23 @@ def test_synthesis_matches_dense_channel_oracle():
     noise = rng.standard_normal((g.n_bs, 16)) + 1j * rng.standard_normal((g.n_bs, 16))
     dense = (channel_btb(g, 0) + channel_btb(g, 1)) @ w + np.sqrt(1e-3 / 2.0) * noise
     np.testing.assert_allclose(block.samples, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_noise_added_into_a_scaled_echo_matches_the_two_draw_formula(seed):
+    # the oracle is the earlier synthesis: real parts, then imaginary parts, each drawn
+    # as its own (N_BS, T1) block into a new array, then the echo added
+    g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
+    unit = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
+    unit.setflags(write=False)
+    amplitude, noise_var = np.sqrt(dbm_to_watts(20.0)), 1e-11
+    got = synthesize_stage1(g, None, noise_var, seed, echo=amplitude * unit).samples
+    rng = np.random.default_rng(seed)
+    want = np.empty(unit.shape, dtype=complex)
+    want.real = np.sqrt(noise_var / 2.0) * rng.standard_normal(unit.shape)
+    want.imag = np.sqrt(noise_var / 2.0) * rng.standard_normal(unit.shape)
+    want += amplitude * unit
+    assert np.array_equal(got, want)
 
 
 def test_sample_covariance_properties():
@@ -333,3 +352,59 @@ def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
     assert np.max(np.abs(u_s.conj().T @ u_s - np.eye(2))) < 1e-12
     a = upa_response(g.bs_target_doa(0), g.bs_upa)
     assert np.max(np.abs(projector(u_s[:, :1]) - np.outer(a, a.conj()) / g.n_bs)) < 1e-12
+
+
+def batch_blocks(g, p_dbm, seeds, t1=60):
+    probing = dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm))
+    return [synthesize_stage1(g, probing, 1e-11, seed).samples for seed in seeds]
+
+
+@pytest.mark.parametrize("name", ["one_target", "three_targets"])
+@pytest.mark.parametrize("levels", [0, 2])
+def test_music_estimate_is_a_batch_of_one(name, levels):
+    # one block alone, the same block as a batch of one, and the same block among
+    # batch-mates (more than SEARCH_BATCH blocks, so batches are cut) all agree bit for bit
+    g = flagship_bs_scene(SEARCH_SCENES[name])
+    k = len(g.targets)
+    blocks = batch_blocks(g, 0.0, range(SEARCH_BATCH + 2))
+    batched = music_estimates(iter(blocks), g.bs_upa, k, 2e-3, levels)
+    assert len(batched) == len(blocks)
+    for block, est in zip(blocks, batched):
+        alone = music_estimate(block, g.bs_upa, k, 2e-3, levels)
+        assert music_estimates([block], g.bs_upa, k, 2e-3, levels) == [alone] == [est]
+
+
+def test_a_block_that_fails_fails_alone_in_its_batch():
+    # at this coarse grid some seeds' spectra hold one separated peak for two
+    # targets; those blocks, and a block with too few columns, get their own
+    # errors, and every other block gets the estimate it gets alone
+    g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, -2.0, 1.0)])
+    blocks = batch_blocks(g, -10.0, range(8), t1=16)
+    blocks.insert(5, blocks[0][:, :1])
+    results = music_estimates(blocks, g.bs_upa, 2, 0.4, 1)
+    failed = [i for i, r in enumerate(results) if isinstance(r, UnderResolvedError)]
+    assert failed == [1, 2, 3, 8]
+    for i in failed:
+        with pytest.raises(UnderResolvedError, match="^found 1 spectrum peaks, need 2$"):
+            music_estimate(blocks[i], g.bs_upa, 2, 0.4, 1)
+        assert results[i].found == 1
+    assert isinstance(results[5], InvalidArgumentError)
+    assert str(results[5]) == "1 columns cannot span 2 signal directions"
+    for i in set(range(len(blocks))) - set(failed) - {5}:
+        assert results[i] == music_estimate(blocks[i], g.bs_upa, 2, 0.4, 1)
+
+
+def test_coarse_grid_is_cached_read_only_per_grid_and_array():
+    g = flagship_bs_scene(SEARCH_SCENES["one_target"])
+    block = batch_blocks(g, 40.0, [0])[0]
+    _coarse_grid.cache_clear()
+    music_estimate(block, g.bs_upa, 1, 2e-3, 0)
+    music_estimate(block, g.bs_upa, 1, 2e-3, 0)
+    info = _coarse_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    nodes, rows_y, rows_z = _coarse_grid(2e-3, 20, 20)
+    stride = _coarse_stride(2e-3, 20, 20)
+    assert np.array_equal(nodes, np.unique(np.append(np.arange(0, 1001, stride), 1000)))
+    table = stage1._steering_table(2e-3, 20)
+    assert np.array_equal(rows_y, table[nodes]) and np.array_equal(rows_z, table[nodes])
+    assert not any(a.flags.writeable for a in (nodes, rows_y, rows_z))

@@ -9,7 +9,8 @@ on the change; equal digests mean every hashed value is byte-identical:
 
 The digest covers run_experiment rows and their TrialRecords (less
 wall_time_s, arrays hashed with dtype, shape and bytes) for every config
-below at base seeds 1000-1003, plus one t2 sweep and one area sweep.  The
+below at base seeds 1000-1003, TRIALS trials a point unless a config sets
+its own, plus one t2 sweep and one area sweep.  The
 sqrt_crb_* bound columns are left out of the digest, since a reordered
 floating-point sum moves them in the last bits; --save-bounds writes them,
 with a standalone attach_crb(cfg, p) (outside any sweep) at every power of
@@ -70,6 +71,9 @@ MATRIX = {
     "single_seq_case2": (SINGLE, {"stage2_mode": "case2"}),
     "single_seq_noiseless": (SINGLE, {"noise_dbm": -math.inf}),
     "multi_joint_full": (MULTI, {"stage2_mode": "full"}),
+    # one trial more than stage 1's search batch (irsloc.stage1.SEARCH_BATCH = 8),
+    # so each point's searches span two batches
+    "multi_joint_two_batches": (MULTI, {"trials": 9}),
 }
 T2_VALUES = (10, 20, 30)
 AREA_CELLS = np.linspace(-20.0, 0.0, 3), np.linspace(-10.0, 10.0, 3)
@@ -78,7 +82,7 @@ SWEEP_DBM = 10.0
 
 def _config(path: str, seed: int, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig.from_yaml(str(ROOT / path))
-    return replace(cfg, base_seed=seed, trials=TRIALS, output_path=None, **overrides)
+    return replace(cfg, **{"base_seed": seed, "trials": TRIALS, "output_path": None, **overrides})
 
 
 def _feed(h, value) -> None:
