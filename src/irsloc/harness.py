@@ -26,18 +26,7 @@ import yaml
 from . import stage2
 from .arrays import Position3, SpatialAnglePair, UpaConfig, check_power, dft_codebook, is_number
 from .channel import SceneGeometry, dbm_to_watts
-# fim_stage1, fim_stage2_case1/case2: unused, but perfbench traces them by name here
-from .crb import (
-    assemble_case1,
-    assemble_case2,
-    assemble_stage1,
-    case1_factors,
-    case2_factors,
-    fim_stage1,
-    fim_stage2_case1,
-    fim_stage2_case2,
-    stage1_factors,
-)
+from .crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
 from .errors import InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
@@ -392,24 +381,27 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     return record
 
 
-@functools.lru_cache(maxsize=16)
-def _bound_factors(scene: SceneGeometry, t2_y: int, t2_z: int, joint_scan: bool,
-                   stage2_mode: Stage2Mode) -> tuple:
-    """Read-only power-independent factors of both bounds of one scene: (stage 1, stage 2).
+CRB_COLUMNS = ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t", "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")
 
-    The stage-2 bound takes the codewords that the first surface's scan sends
-    run noiselessly at unit power (called through its module, so a traced
-    bounds call counts no scan samples).
+
+@functools.lru_cache(maxsize=16)
+def _unit_bounds(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int, joint_scan: bool,
+                 stage2_mode: Stage2Mode) -> tuple[float, float, float, float]:
+    """The angle CRBs behind attach_crb's CRB_COLUMNS, at unit power and unit noise.
+
+    The stage-1 bound takes the DFT codebook probed at 1 W; the stage-2 bound
+    takes the codewords that the first surface's scan sends run noiselessly
+    at unit power (called through its module, so a traced bounds call counts
+    no scan samples), toward target 0.
     """
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
     words = stage2.synthesize_stage2(scene, 0, plan, 0.0, 0, stage2_mode, joint=joint_scan).codewords
-    factors = case2_factors if stage2_mode is Stage2Mode.CASE2_APPROX else case1_factors
-    return stage1_factors(scene), factors(scene, 0, 0, words)
-
-
-def _factors(config: ExperimentConfig) -> tuple:
-    return _bound_factors(config.scene, config.t2_y, config.t2_z,
-                          config.joint_scan, config.stage2_mode)
+    s1 = fim_stage1(scene, dft_codebook(scene.n_bs, t1, 1.0), 1.0)
+    if stage2_mode is Stage2Mode.CASE2_APPROX:
+        s2, mu_key, nu_key = fim_stage2_case2(scene, 0, 0, words, 1.0), "mu_i2t", "nu_i2t"
+    else:
+        s2, mu_key, nu_key = fim_stage2_case1(scene, 0, 0, words, 1.0), "mu", "nu"
+    return s1.crb("mu_b2t"), s1.crb("nu_b2t"), s2.crb(mu_key), s2.crb(nu_key)
 
 
 def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
@@ -418,44 +410,31 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
     The stage-1 bound takes the Jacobian of the echo mean against the codebook
     actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
-    The stage-2 bound is the first surface's scan toward target 0.  Both are
-    assembled from factors cached per scene and scan (_bound_factors), so a
-    call pays only the power's scalings and the small FIMs once its scene has
-    been seen; the probing codebook comes from its builder, never a trial's.
+    The stage-2 bound is the first surface's scan toward target 0.  Every
+    mean is linear in the transmit amplitude, so each bound is
+    sqrt(sigma^2/P) times its unit-power, unit-noise value, which is solved
+    once per scene and scan (_unit_bounds); a trial's codebook is never used.
     """
     noise_var = config.noise_var
     p_watts = dbm_to_watts(p_bs_dbm)
     check_power(p_watts)
     if noise_var <= 0:
-        return {key: 0.0 for key in ("sqrt_crb_mu_b2t", "sqrt_crb_nu_b2t",
-                                     "sqrt_crb_mu_irs", "sqrt_crb_nu_irs")}
-    probing = dft_codebook(config.scene.n_bs, config.t1, p_watts)
-    factors1, factors2 = _factors(config)
-    s1 = assemble_stage1(factors1, probing, noise_var)
-    if config.stage2_mode is Stage2Mode.CASE2_APPROX:
-        s2 = assemble_case2(factors2, noise_var, p_watts)
-        mu_key, nu_key = "mu_i2t", "nu_i2t"
-    else:
-        s2 = assemble_case1(factors2, noise_var, p_watts)
-        mu_key, nu_key = "mu", "nu"
-    return {
-        "sqrt_crb_mu_b2t": float(np.sqrt(s1.crb("mu_b2t"))),
-        "sqrt_crb_nu_b2t": float(np.sqrt(s1.crb("nu_b2t"))),
-        "sqrt_crb_mu_irs": float(np.sqrt(s2.crb(mu_key))),
-        "sqrt_crb_nu_irs": float(np.sqrt(s2.crb(nu_key))),
-    }
+        return {key: 0.0 for key in CRB_COLUMNS}
+    unit = _unit_bounds(config.scene, config.t1, config.t2_y, config.t2_z,
+                        config.joint_scan, config.stage2_mode)
+    return {key: float(np.sqrt(noise_var / p_watts * v)) for key, v in zip(CRB_COLUMNS, unit)}
 
 
 def stage1_crb_trace(config: ExperimentConfig, p_bs_dbm: float) -> float:
     """Trace of the inverse stage-1 FIM for the DFT codebook sent at p_bs_dbm.
 
-    The crb_trace_stage1 value from attach_crb's cached factors: +inf when the
-    FIM is singular, and 0.0 in the noiseless limit, as attach_crb reports.
+    crb_trace_stage1 on that codebook: +inf when the FIM is singular, and 0.0
+    in the noiseless limit, as attach_crb reports.
     """
     if config.noise_var <= 0:
         return 0.0
     probing = dft_codebook(config.scene.n_bs, config.t1, dbm_to_watts(p_bs_dbm))
-    return float(np.sum(assemble_stage1(_factors(config)[0], probing, config.noise_var).crb_diag))
+    return crb_trace_stage1(config.scene, probing, config.noise_var)
 
 
 def aggregate_trials(records: list[TrialRecord]) -> dict:

@@ -83,11 +83,22 @@ def test_white_fim_mu_entry_closed_form():
 
 
 def test_fim_scales_linearly_with_power():
+    # every mean is linear in the transmit amplitude, so each angle CRB scales as 1/P
     g = random_desk_scene(1)
     t1, noise = 12, 0.5
     f1 = fim_stage1(g, white_probing(g.n_bs, 1.0, t1), noise)
     f10 = fim_stage1(g, white_probing(g.n_bs, 10.0, t1), noise)
     assert np.allclose(f10.crb_diag, f1.crb_diag / 10.0, rtol=1e-9)
+    # stage 2: the gain parameters carry the amplitude, so F(10 P) = S F(P) S with
+    # S = sqrt(10) on the angles and 1 on the gains; the single-bounce FIM is singular
+    # at every power (its BS angles enter only through b, a complex scale like the gain)
+    words = joint_codewords(build_scan_plan(g.irs_upa[0], 5, 5))
+    for fim, n_angles, singular in ((fim_stage2_case1, 2, False), (fim_stage2_case2, 4, True)):
+        f1, f10 = (fim(g, 0, 0, words, noise, p) for p in (1.0, 10.0))
+        scale = np.r_[np.full(n_angles, np.sqrt(10.0)), 1.0, 1.0]
+        assert np.allclose(f10.matrix, scale[:, None] * f1.matrix * scale, rtol=1e-9, atol=0)
+        assert f1.singular == f10.singular == singular
+        assert np.allclose(f10.crb_diag[:n_angles], f1.crb_diag[:n_angles] / 10.0, rtol=1e-9)
 
 
 def test_diagonal_fim_trace_is_sum_of_reciprocals():

@@ -171,13 +171,13 @@ def test_standalone_bounds_build_no_trial_invariants(monkeypatch):
     def trial_only(*args, **kwargs):
         raise AssertionError("the bounds path built a trial invariant")
 
-    # cold caches: the bound factors are rebuilt without any trial invariant
-    harness._bound_factors.cache_clear()
+    # cold caches: the unit-power bounds are rebuilt without any trial invariant
+    harness._unit_bounds.cache_clear()
     harness._trial_data.cache_clear()
     for name in ("stage1_echo", "stage2_model", "_scene_truth", "classify_regime"):
         monkeypatch.setattr(harness, name, trial_only)
     assert [attach_crb(cfg, 40.0) for cfg in configs] == expected
-    assert harness._bound_factors.cache_info().misses == len(configs)
+    assert harness._unit_bounds.cache_info().misses == len(configs)
     assert harness._trial_data.cache_info().currsize == 0
 
 
@@ -191,9 +191,9 @@ def test_codebook_table_and_scan_plans_are_built_once_per_shape():
             a[0] = 0
     cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=1)
     assert len(cfg.p_bs_dbm_sweep) == 11
-    # the per-scene trial data and bound factors are built once per sweep, too
+    # the per-scene trial data and unit-power bounds are built once per sweep, too
     caches = (_dft_table, _scan_plan, harness._permutations, harness._trial_data,
-              harness._bound_factors)
+              harness._unit_bounds)
     for cache in caches:
         cache.cache_clear()
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
@@ -271,15 +271,16 @@ def test_an_under_resolved_trial_fails_alone_in_its_batch():
 
 
 def test_undersampled_codebook_warns_at_most_once_per_power_point():
-    # t1 = 60 < N_BS = 400: the codebook warning comes from the bounds, once per
-    # power; a trial checks its power without building a codebook
+    # t1 = 60 < N_BS = 400: the codebook warning comes from the bounds' one unit-power
+    # codebook per scene; a trial checks its power without building a codebook
     cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")), trials=4)
     run_trial(cfg, 40.0, 0)  # the scene's unit-power data, built once for the process
+    harness._unit_bounds.cache_clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_experiment(cfg)
     undersampled = [w for w in caught if "cannot be spatially white" in str(w.message)]
-    assert 0 < len(undersampled) <= len(cfg.p_bs_dbm_sweep)
+    assert len(undersampled) == 1
 
 
 def test_sweep_leaves_the_cached_echo_unwritten():
@@ -304,18 +305,27 @@ def sent_codewords(cfg, p_watts):
                               np.r_[np.full(cfg.t2_y, plan.hold_z_index), np.arange(cfg.t2_z)])
 
 
-def public_bounds(cfg, p_dbm):
-    """attach_crb's columns composed from the public FIMs, for the codebooks a run sends."""
-    p_watts = dbm_to_watts(p_dbm)
-    probing = dft_codebook(cfg.scene.n_bs, cfg.t1, p_watts)
-    s1 = fim_stage1(cfg.scene, probing, cfg.noise_var)
+def fim_bounds(cfg, p_watts, noise_var, scale=1.0):
+    """attach_crb's columns from the public FIMs at p_watts and noise_var, for the codebooks
+    a run sends, each variance times scale."""
+    s1 = fim_stage1(cfg.scene, dft_codebook(cfg.scene.n_bs, cfg.t1, p_watts), noise_var)
     fim, keys = ((fim_stage2_case2, ("mu_i2t", "nu_i2t")) if cfg.stage2_mode.value == "case2"
                  else (fim_stage2_case1, ("mu", "nu")))
-    s2 = fim(cfg.scene, 0, 0, sent_codewords(cfg, p_watts), cfg.noise_var, p_watts)
-    return {"sqrt_crb_mu_b2t": float(np.sqrt(s1.crb("mu_b2t"))),
-            "sqrt_crb_nu_b2t": float(np.sqrt(s1.crb("nu_b2t"))),
-            "sqrt_crb_mu_irs": float(np.sqrt(s2.crb(keys[0]))),
-            "sqrt_crb_nu_irs": float(np.sqrt(s2.crb(keys[1])))}
+    s2 = fim(cfg.scene, 0, 0, sent_codewords(cfg, p_watts), noise_var, p_watts)
+    return {"sqrt_crb_mu_b2t": float(np.sqrt(scale * s1.crb("mu_b2t"))),
+            "sqrt_crb_nu_b2t": float(np.sqrt(scale * s1.crb("nu_b2t"))),
+            "sqrt_crb_mu_irs": float(np.sqrt(scale * s2.crb(keys[0]))),
+            "sqrt_crb_nu_irs": float(np.sqrt(scale * s2.crb(keys[1])))}
+
+
+def public_bounds(cfg, p_dbm):
+    """attach_crb's columns: the public FIMs at unit power and unit noise, scaled by sigma^2/P."""
+    return fim_bounds(cfg, 1.0, 1.0, cfg.noise_var / dbm_to_watts(p_dbm))
+
+
+def per_power_bounds(cfg, p_dbm):
+    """The same columns from the public FIMs solved at the power and noise themselves."""
+    return fim_bounds(cfg, dbm_to_watts(p_dbm), cfg.noise_var)
 
 
 # sequential scans keep their plain ids; joint scans add the factored bound of a full grid
@@ -326,13 +336,41 @@ SENT_SCANS = [pytest.param(mode, t2, joint, id=f"{mode}-{t2}" + ("-joint" if joi
 
 @pytest.mark.parametrize("mode, t2, joint", SENT_SCANS)
 def test_sequential_bound_holds_the_sent_y_beam(mode, t2, joint):
-    # bounds assembled from cached factors equal the public FIMs bit for bit at every power
+    # bounds scaled from the cached unit-power solve equal the public FIMs at unit power
+    # bit for bit, and the public FIMs solved at each power up to the rounding of
+    # re-inverting an ill-conditioned FIM
     cfg = replace(ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml")),
                   stage2_mode=mode, t2_y=t2, t2_z=t2, joint_scan=joint)
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
         warnings.simplefilter("ignore")
         for p_dbm in (-10.0, 0.0, 25.0, 40.0):
-            assert attach_crb(cfg, p_dbm) == public_bounds(cfg, p_dbm), p_dbm
+            bounds = attach_crb(cfg, p_dbm)
+            assert bounds == public_bounds(cfg, p_dbm), p_dbm
+            assert bounds == pytest.approx(per_power_bounds(cfg, p_dbm), rel=1e-8), p_dbm
+
+
+def test_bounds_scale_exactly_with_power():
+    # each sqrt(CRB) is sqrt(sigma^2/P) times one unit-power value, so no power point
+    # re-inverts an ill-conditioned FIM with its own rounding; a singular FIM (the
+    # case-2 model's) reads +inf at every power
+    shipped = [ExperimentConfig.from_yaml(str(CONFIGS / name))
+               for name in ("single_target.yaml", "multi_target.yaml")]
+    with warnings.catch_warnings():  # t1 < N_BS: non-white probing
+        warnings.simplefilter("ignore")
+        for base, mode, joint in itertools.product(shipped, ("full", "case1", "case2"),
+                                                   (True, False)):
+            if base.n_targets > 1 and not joint:  # a sequential scan serves one target
+                continue
+            cfg = replace(base, stage2_mode=mode, joint_scan=joint)
+            rows = [attach_crb(cfg, p) for p in cfg.p_bs_dbm_sweep]
+            for key in harness.CRB_COLUMNS:
+                unit = np.array([row[key] * np.sqrt(dbm_to_watts(p) / cfg.noise_var)
+                                 for row, p in zip(rows, cfg.p_bs_dbm_sweep)])
+                if np.all(np.isinf(unit)):
+                    continue
+                assert np.all(np.isfinite(unit)) and np.all(unit > 0), (mode, joint, key)
+                spread = (unit.max() - unit.min()) / unit.max()
+                assert spread <= 1e-14, (mode, joint, key, spread)
 
 
 def test_sequential_bound_holds_the_y_beam_a_full_echo_scan_sends():
@@ -357,20 +395,14 @@ def test_sequential_bound_holds_the_y_beam_a_full_echo_scan_sends():
     assert bounds["sqrt_crb_nu_irs"] == pytest.approx(np.sqrt(want.crb("nu")), rel=1e-12)
 
 
-def test_bound_factors_follow_rebuilt_scenes():
+def test_bounds_follow_rebuilt_scenes():
     cfg = ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml"))
-    harness._bound_factors.cache_clear()
+    harness._unit_bounds.cache_clear()
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
         warnings.simplefilter("ignore")
         cold = attach_crb(cfg, 10.0)
         assert attach_crb(cfg, 10.0) == cold == public_bounds(cfg, 10.0)
-        assert harness._bound_factors.cache_info().misses == 1
-        stage1, _ = harness._factors(cfg)
-        for a in (stage1.resp, stage1.gram):
-            assert not a.flags.writeable
-        _, case2 = harness._factors(replace(cfg, stage2_mode="case2"))
-        for a in (case2.wq, case2.wq_mu, case2.wq_nu):
-            assert not a.flags.writeable
+        assert harness._unit_bounds.cache_info().misses == 1
         # a scene is immutable, so no cached value can go stale under an in-place edit
         target = cfg.scene.targets[0]
         moved = Position3(target.x + 3.0, target.y - 2.0, target.z + 1.0)
@@ -570,10 +602,10 @@ def test_scenes_from_lists_and_tuples_share_one_cache_entry():
                                    for k, v in parts.items()})
     assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
     assert from_lists == replace(from_tuples, rcs_dbsm=[])  # 7 dBsm is the default
-    harness._bound_factors.cache_clear()
+    harness._unit_bounds.cache_clear()
     bounds = [attach_crb(tiny_config(scene=scene), 30.0) for scene in (from_lists, from_tuples)]
     assert bounds[0] == bounds[1]
-    assert harness._bound_factors.cache_info().misses == 1
+    assert harness._unit_bounds.cache_info().misses == 1
 
 
 def test_config_yaml_round_trip(tmp_path):

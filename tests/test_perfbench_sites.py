@@ -25,23 +25,26 @@ def test_every_trace_site_resolves(sweeps):
 
 
 def test_traced_bounds_call_builds_the_codewords_once_per_scene(sweeps):
-    # the first call of a scene builds the plan and runs the scan noiselessly, through
-    # the stage-2 module, for the 3600 Kronecker codewords of its cached factors; later
-    # calls only assemble, so no FIM, scan or codeword span fires and no sample counts
+    # the first call of a scene builds the plan, runs the scan noiselessly through the
+    # stage-2 module, and solves both FIMs at unit power over its 3600 Kronecker
+    # codewords; later calls only scale, so no FIM, scan or codeword span fires
     from spans import Patches, Tracer
 
     cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "multi_target.yaml"))
     top = max(cfg.p_bs_dbm_sweep)
-    harness._bound_factors.cache_clear()
+    harness._unit_bounds.cache_clear()
     tracer = Tracer("harness.trial")
     with Patches(tracer, sweeps.trace_sites()):
         cold = harness.attach_crb(cfg, top)
+        cold_spans = len(tracer.spans)
         warm = [harness.attach_crb(cfg, p) for p in cfg.p_bs_dbm_sweep]
     assert cold == warm[-1] == harness.attach_crb(cfg, top)
     assert warm == [harness.attach_crb(cfg, p) for p in cfg.p_bs_dbm_sweep]
-    assert [s.name for s in tracer.spans].count("harness.bounds") == 1 + len(warm)
-    assert [s.name for s in tracer.spans if s.name != "harness.bounds"] == ["stage2.plan"]
-    assert tracer.counts["crb.codewords"] == tracer.counts["stage2.samples"] == 0
+    names = [s.name for s in tracer.spans]
+    assert names[:cold_spans] == ["harness.bounds", "stage2.plan", "crb.stage1", "crb.stage2"]
+    assert names[cold_spans:] == ["harness.bounds"] * len(warm)
+    assert tracer.counts["crb.codewords"] == cfg.t2_y * cfg.t2_z == 3600
+    assert tracer.counts["stage2.samples"] == 0
 
 
 def test_traced_trial_records_the_stage_spans(sweeps):

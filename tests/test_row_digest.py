@@ -43,3 +43,10 @@ def test_worst_bound_gap_names_its_run_and_entry(row_digest):
     assert row_digest.worst_bound_gap(bounds, saved) == (math.inf, "a 1", 2)
     with pytest.raises(SystemExit):
         row_digest.worst_bound_gap({"a 1": [1.0]}, saved)
+
+
+def test_over_tolerance_counts_the_entries_past_the_bound_per_run(row_digest):
+    saved = {"a 1": [1.0, 2.0, 3.0], "b 2": [4.0, 0.0], "c 3": [1.0]}
+    bounds = {"a 1": [1.0 + 1e-12, 2.0, 3.0 * (1 + 1e-13)], "b 2": [4.0, 0.0], "c 3": [math.inf]}
+    assert row_digest.over_tolerance(row_digest.bound_gaps(bounds, saved)).splitlines() == [
+        f"bounds past {row_digest.BOUNDS_RTOL:g}: 3 of 6 entries", "  'a 1': 2", "  'c 3': 1"]
