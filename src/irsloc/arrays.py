@@ -10,6 +10,7 @@ centroid, so every steering vector carries the centered phase progression.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def spatial_doa(from_pos: Position3, to_pos: Position3, spacing_over_lambda: flo
 
 def check_power(power: float) -> None:
     """InvalidArgumentError unless the transmit power (watts) is finite and positive."""
-    if not (np.isfinite(power) and power > 0):
+    if not (math.isfinite(power) and power > 0):
         raise InvalidArgumentError(f"transmit power {power!r} must be finite and positive")
 
 

@@ -11,7 +11,7 @@ Frobenius norms), and `irsloc validate` checks the effective channel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +51,10 @@ class PathGain:
 
 @dataclass(frozen=True)
 class SceneGeometry:
-    """Sites, arrays, and RF constants for one localization scene; frozen, lists become tuples."""
+    """Sites, arrays, and RF constants for one localization scene; frozen, lists become tuples.
+
+    The hash of the fields is computed once, as every cache keyed on a scene looks it up.
+    """
 
     bs: Position3
     irs: tuple[Position3, ...]
@@ -79,6 +82,10 @@ class SceneGeometry:
         for i in range(len(self.irs)):
             if self.d_b2i(i) < 1e-9:  # the BS-surface hop would have no direction
                 raise InvalidArgumentError(f"reflecting surface irs[{i}] coincides with the BS")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def wavelength(self) -> float:

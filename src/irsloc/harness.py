@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 import numbers
 import sys
 import time
@@ -27,10 +28,11 @@ from . import stage2
 from .arrays import Position3, SpatialAnglePair, UpaConfig, check_power, dft_codebook, is_number
 from .channel import SceneGeometry, dbm_to_watts
 from .crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
-from .errors import InvalidArgumentError, IrslocError
+from .errors import DegenerateGeometryError, InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
 from .stage1 import (
+    SEARCH_BATCH,
     MusicEstimate,
     music_estimate,
     music_estimates,
@@ -204,8 +206,8 @@ class TrialRecord:
     """One trial's truth, estimates and outcome.
 
     wall_time_s is the time run_trial took.  Run alone that is the whole
-    trial; in a sweep the point's stage-1 searches run stacked before the
-    trials (_sweep_point), so it covers stage 2, localization and the
+    trial; in a sweep the stage-1 searches run stacked, a batch of trials
+    ahead (_sweep_cells), so it covers stage 2, localization and the
     record, not stage 1.
     """
 
@@ -422,7 +424,7 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
         return {key: 0.0 for key in CRB_COLUMNS}
     unit = _unit_bounds(config.scene, config.t1, config.t2_y, config.t2_z,
                         config.joint_scan, config.stage2_mode)
-    return {key: float(np.sqrt(noise_var / p_watts * v)) for key, v in zip(CRB_COLUMNS, unit)}
+    return {key: math.sqrt(noise_var / p_watts * v) for key, v in zip(CRB_COLUMNS, unit)}
 
 
 def stage1_crb_trace(config: ExperimentConfig, p_bs_dbm: float) -> float:
@@ -473,31 +475,52 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
     return row
 
 
-def _sweep_point(config: ExperimentConfig, p_dbm: float, sweep_index: int) -> list[TrialRecord]:
-    """The seeded trials of one sweep point; IrslocError if the scene is degenerate.
+def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfig, float, int]],
+                 skip_degenerate: bool = False) -> list[list[TrialRecord]]:
+    """The seeded trial records of each cell (config, power, sweep index), in order.
 
-    Stage 1 runs first for every trial: each trial's snapshots and signal
-    subspace on their own, then the searches stacked (music_estimates).
-    Each trial then runs through run_trial with its stage-1 result, so every
-    record equals the one the same trial gives run alone.
+    Each cell's config is config with its own scene or scans, but config's
+    BS array, target count and search.  Stage 1 runs for SEARCH_BATCH trials
+    at a time in sweep order, so batches straddle cells: each trial's
+    snapshots and signal subspace on their own, then the searches stacked
+    (music_estimates).  Each trial of the batch then runs through run_trial
+    with its stage-1 result, so every record equals the one the same trial
+    gives run alone.  A cell's power is checked before its scene; a
+    degenerate scene raises DegenerateGeometryError, or with
+    skip_degenerate adds no trials and leaves its cell empty.
     """
-    scene = config.scene
-    *_, echo, _ = _trial_data(scene, config.t1, config.t2_y, config.t2_z, config.stage2_mode)
-    amplitude = _amplitude(p_dbm)
-    seeds = [trial_seed(config.base_seed, sweep_index, t) for t in range(config.trials)]
-    music = music_estimates((_stage1_samples(config, amplitude * echo, seed) for seed in seeds),
-                            scene.bs_upa, config.n_targets, config.music_grid,
-                            config.music_refine_levels)
-    return [run_trial(config, p_dbm, seed, t, music=result)
-            for t, (seed, result) in enumerate(zip(seeds, music))]
+    def trials():
+        for c, (cfg, p_dbm, s_idx) in enumerate(cells):
+            amplitude = _amplitude(p_dbm)
+            try:
+                *_, echo, _ = _trial_data(cfg.scene, cfg.t1, cfg.t2_y, cfg.t2_z, cfg.stage2_mode)
+            except DegenerateGeometryError:
+                if not skip_degenerate:
+                    raise
+                continue
+            for t in range(cfg.trials):
+                yield c, t, trial_seed(cfg.base_seed, s_idx, t), amplitude, echo
+
+    records: list = [[] for _ in cells]
+    pending = trials()
+    while batch := list(itertools.islice(pending, SEARCH_BATCH)):
+        music = music_estimates((_stage1_samples(cells[c][0], amplitude * echo, seed)
+                                 for c, _, seed, amplitude, echo in batch),
+                                config.scene.bs_upa, config.n_targets, config.music_grid,
+                                config.music_refine_levels)
+        for (c, t, seed, *_), result in zip(batch, music):
+            cfg, p_dbm, _ = cells[c]
+            records[c].append(run_trial(cfg, p_dbm, seed, t, music=result))
+    return records
 
 
 def run_experiment(config: ExperimentConfig,
                    trial_sink: list | None = None) -> list[dict]:
     """Power sweep of seeded trials; one aggregate row per sweep point."""
+    sweep = config.p_bs_dbm_sweep
     rows = []
-    for s_idx, p_dbm in enumerate(config.p_bs_dbm_sweep):
-        records = _sweep_point(config, p_dbm, s_idx)
+    for p_dbm, records in zip(sweep, _sweep_cells(
+            config, [(config, p, s_idx) for s_idx, p in enumerate(sweep)])):
         if trial_sink is not None:
             trial_sink.extend(records)
         row = {"p_bs_dbm": float(p_dbm)}
@@ -511,39 +534,36 @@ def run_t2_sweep(config: ExperimentConfig, t2_values: Sequence[int],
                  p_bs_dbm: float | None = None) -> list[dict]:
     """Scan-refinement sweep at a fixed power; t2 is the per-axis beam count."""
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
-    rows = []
-    for s_idx, t2 in enumerate(t2_values):
-        cfg = replace(config, t2_y=t2, t2_z=t2, p_bs_dbm_sweep=[p_dbm])
-        records = _sweep_point(cfg, p_dbm, s_idx)
-        row = {"t2": t2, "p_bs_dbm": float(p_dbm)}
-        row.update(aggregate_trials(records))
-        rows.append(row)
-    return rows
+    cells = [(replace(config, t2_y=t2, t2_z=t2, p_bs_dbm_sweep=[p_dbm]), p_dbm, s_idx)
+             for s_idx, t2 in enumerate(t2_values)]
+    return [{"t2": t2, "p_bs_dbm": float(p_dbm), **aggregate_trials(records)}
+            for t2, records in zip(t2_values, _sweep_cells(config, cells))]
 
 
 def run_area_sweep(config: ExperimentConfig, x_values: Sequence[float],
                    y_values: Sequence[float], p_bs_dbm: float | None = None,
                    target_z: float = 0.0) -> list[dict]:
-    """Move a single target over an (x, y) grid; failures counted, never fatal."""
+    """Move a single target over an (x, y) grid; failures counted, never fatal.
+
+    A cell whose scene is degenerate (the target on a surface or the BS)
+    counts every trial as failed; a transmit power that is not finite and
+    positive raises at the first cell.
+    """
     if config.n_targets != 1:
         raise InvalidArgumentError("area sweep is a single-target experiment")
     p_dbm = config.p_bs_dbm_sweep[0] if p_bs_dbm is None else p_bs_dbm
+    grid = list(itertools.product(x_values, y_values))
+    cells = [(replace(config, p_bs_dbm_sweep=[p_dbm], scene=replace(
+                 config.scene, targets=[Position3(float(x), float(y), target_z)])), p_dbm, cell)
+             for cell, (x, y) in enumerate(grid)]
     rows = []
-    cell = 0
-    for x in x_values:
-        for y in y_values:
-            scene = replace(config.scene, targets=[Position3(float(x), float(y), target_z)])
-            cfg = replace(config, scene=scene, p_bs_dbm_sweep=[p_dbm])
-            try:
-                records, degenerate = _sweep_point(cfg, p_dbm, cell), 0
-            except IrslocError:  # the scene itself is degenerate, e.g. target on a surface
-                records, degenerate = [], config.trials
-            row = {"x": float(x), "y": float(y)}
-            row.update(aggregate_trials(records))
-            row["trials"] += degenerate
-            row["trials_failed"] += degenerate
-            rows.append(row)
-            cell += 1
+    for (x, y), records in zip(grid, _sweep_cells(config, cells, skip_degenerate=True)):
+        degenerate = 0 if records else config.trials
+        row = {"x": float(x), "y": float(y)}
+        row.update(aggregate_trials(records))
+        row["trials"] += degenerate
+        row["trials_failed"] += degenerate
+        rows.append(row)
     return rows
 
 

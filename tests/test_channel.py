@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,16 @@ def test_scene_rejects_non_finite_carrier_and_rcs():
     scene = SceneGeometry(**sites, carrier_freq_hz=np.float64(7.5e8), rcs_dbsm=[np.int64(7)])
     assert scene.wavelength == pytest.approx(0.3997, rel=1e-4)
 
+
+
+def test_equal_scenes_hash_equal(single_scene):
+    rebuilt = SceneGeometry(bs=Position3(0.0, 0.0, 5.0), irs=(Position3(-20.0, 0.0, 3.0),),
+                            targets=[Position3(-20, 2, 0)], bs_upa=UpaConfig(20, 20),
+                            irs_upa=[UpaConfig(30, 30)], rcs_dbsm=[7.0])
+    moved = replace(single_scene, targets=[Position3(-10.0, 2.0, 0.0)])
+    back = replace(moved, targets=single_scene.targets)
+    for same in (rebuilt, replace(single_scene), back):
+        assert same == single_scene and hash(same) == hash(single_scene)
+    assert moved != single_scene and hash(moved) != hash(single_scene)
+    assert hash(single_scene) == hash(tuple(getattr(single_scene, f) for f in (
+        "bs", "irs", "targets", "bs_upa", "irs_upa", "carrier_freq_hz", "rcs_dbsm")))

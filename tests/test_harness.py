@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -26,7 +27,7 @@ from irsloc import (
     run_trial,
     trial_seed,
 )
-from irsloc import harness
+from irsloc import harness, stage1
 from irsloc.harness import (
     _align,
     aggregate_trials,
@@ -211,7 +212,7 @@ def test_power_is_checked_outside_the_config_sweep():
             with pytest.raises(InvalidArgumentError, match="transmit power"):
                 run_trial(cfg, p_dbm, 0)
             with pytest.raises(InvalidArgumentError, match="transmit power"):
-                harness._sweep_point(cfg, p_dbm, 0)
+                harness._sweep_cells(cfg, [(cfg, p_dbm, 0)])
 
 
 def test_stage_seeds_are_the_spawned_children():
@@ -248,17 +249,22 @@ def test_every_sweep_record_equals_its_trial_run_alone(name):
     assert not any(r.failed for r in swept if r.p_bs_dbm == 40.0)
 
 
-def test_an_under_resolved_trial_fails_alone_in_its_batch():
-    # at a 0.4 grid some seeds' stage-1 spectra hold one separated peak for two
-    # targets: those trials fail with the search's error and no BS estimate, and
-    # their batch-mates keep their stage-1 estimates (12 trials: two batches)
+def under_resolving_config(trials, p_bs_dbm_sweep):
+    """Two targets before a 4x4 BS searched on a 0.4 grid: at -10 dBm some seeds'
+    stage-1 spectra hold one separated peak for the two targets."""
     scene = replace(tiny_config().scene,
                     irs=[Position3(-20.0, 0.0, 3.0), Position3(-5.0, -8.0, 4.0)],
                     irs_upa=[UpaConfig(6, 6)] * 2,
                     targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, -2.0, 1.0)],
                     rcs_dbsm=[7.0, 7.0])
-    cfg = tiny_config(scene=scene, music_grid=0.4, trials=12, p_bs_dbm_sweep=[-10.0],
-                      joint_scan=True)
+    return tiny_config(scene=scene, music_grid=0.4, trials=trials,
+                       p_bs_dbm_sweep=p_bs_dbm_sweep, joint_scan=True)
+
+
+def test_an_under_resolved_trial_fails_alone_in_its_batch():
+    # an under-resolved trial fails with the search's error and no BS estimate,
+    # and its batch-mates keep their stage-1 estimates (12 trials: two batches)
+    cfg = under_resolving_config(12, [-10.0])
     assert cfg.trials > SEARCH_BATCH
     swept: list = []
     run_experiment(cfg, swept)
@@ -268,6 +274,134 @@ def test_an_under_resolved_trial_fails_alone_in_its_batch():
     assert all((r.est_bs_doas is None) == (r.trial_index in under) for r in swept)
     for record in swept:
         _assert_same_record(run_trial(cfg, -10.0, record.seed, record.trial_index), record)
+
+
+class SweepSpy:
+    """Watches a sweep's stage-1 blocks, stacked searches, stage-1 results and trials.
+
+    blocks_ahead and results_ahead are the largest numbers of blocks made,
+    and of stage-1 results returned, for trials that had not yet run.
+    """
+
+    def __init__(self, monkeypatch):
+        self.blocks = self.results = self.searches = self.blocks_ahead = self.results_ahead = 0
+        self.trials: list = []  # (config, power, record) of every trial the sweep ran
+        synth, estimates, search, trial = (harness._stage1_samples, harness.music_estimates,
+                                           stage1._search, harness.run_trial)
+
+        def samples(*args):
+            self.blocks += 1
+            self.blocks_ahead = max(self.blocks_ahead, self.blocks - len(self.trials))
+            return synth(*args)
+
+        def music_estimates(*args):
+            out = estimates(*args)
+            self.results += len(out)
+            self.results_ahead = max(self.results_ahead, self.results - len(self.trials))
+            return out
+
+        def stacked(*args):
+            self.searches += 1
+            return search(*args)
+
+        def run(cfg, p_dbm, seed, trial_index, *, music):
+            record = trial(cfg, p_dbm, seed, trial_index, music=music)
+            self.trials.append((cfg, p_dbm, record))
+            return record
+
+        monkeypatch.setattr(harness, "_stage1_samples", samples)
+        monkeypatch.setattr(harness, "music_estimates", music_estimates)
+        monkeypatch.setattr(stage1, "_search", stacked)
+        monkeypatch.setattr(harness, "run_trial", run)
+
+    def check(self, blocks: int) -> None:
+        """One stacked search per SEARCH_BATCH blocks, no more than a batch ahead of the
+        trials, and every record equal to its trial run alone (a batch of one)."""
+        assert self.blocks == self.results == len(self.trials) == blocks
+        assert self.searches == math.ceil(blocks / SEARCH_BATCH)
+        assert self.blocks_ahead <= SEARCH_BATCH and self.results_ahead <= SEARCH_BATCH
+        for cfg, p_dbm, record in self.trials:
+            _assert_same_record(run_trial(cfg, p_dbm, record.seed, record.trial_index), record)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_a_power_sweep_searches_its_blocks_in_batches_across_points(monkeypatch, trials):
+    cfg = tiny_config(trials=trials, p_bs_dbm_sweep=[0.0, 10.0, 20.0, 30.0, 40.0])
+    spy = SweepSpy(monkeypatch)
+    swept: list = []
+    rows = run_experiment(cfg, swept)
+    assert [r for *_, r in spy.trials] == swept
+    assert [(r.p_bs_dbm, r.trial_index) for r in swept] == list(
+        itertools.product(cfg.p_bs_dbm_sweep, range(trials)))
+    assert [r["trials"] for r in rows] == [trials] * 5
+    spy.check(5 * trials)
+
+
+def test_a_t2_sweep_searches_its_blocks_in_batches_across_t2_values(monkeypatch):
+    cfg = tiny_config(trials=3)
+    spy = SweepSpy(monkeypatch)
+    rows = run_t2_sweep(cfg, [9, 13, 17], p_bs_dbm=30.0)
+    assert [r["t2"] for r in rows] == [9, 13, 17]
+    assert [cfg.t2_y for cfg, *_ in spy.trials] == [9] * 3 + [13] * 3 + [17] * 3
+    for row, t2 in zip(rows, (9, 13, 17)):
+        records = [r for cfg, _, r in spy.trials if cfg.t2_y == t2]
+        np.testing.assert_equal(row, {"t2": t2, "p_bs_dbm": 30.0, **aggregate_trials(records)})
+    spy.check(9)
+
+
+def test_a_degenerate_area_cell_inside_a_batch_adds_no_blocks(monkeypatch):
+    # the middle cell puts the target on the surface; its neighbours share one batch
+    cfg = tiny_config(trials=3)
+    spy = SweepSpy(monkeypatch)
+    rows = run_area_sweep(cfg, x_values=[-15.0, -20.0, -10.0], y_values=[0.0], p_bs_dbm=30.0,
+                          target_z=3.0)
+    assert [(r["trials"], r["trials_failed"]) for r in rows][1] == (3, 3)
+    assert [cfg.scene.targets[0].x for cfg, *_ in spy.trials] == [-15.0] * 3 + [-10.0] * 3
+    spy.check(6)
+    alone = _cells_run_alone(cfg, [-15.0, -20.0, -10.0], [0.0], 30.0, target_z=3.0)
+    np.testing.assert_equal([rows[0], rows[2]], [alone[0], alone[2]])
+
+
+def test_an_under_resolved_trial_inside_a_batch_fails_alone(monkeypatch):
+    # three trials at each of four points: twelve blocks, two batches that straddle points
+    cfg = under_resolving_config(3, [-10.0] * 4)
+    spy = SweepSpy(monkeypatch)
+    swept: list = []
+    run_experiment(cfg, swept)
+    under = [b for b, r in enumerate(swept)
+             if r.failure == "UnderResolvedError: found 1 spectrum peaks, need 2"]
+    assert under == [3, 6, 9, 11]
+    assert all((r.est_bs_doas is None) == (b in under) for b, r in enumerate(swept))
+    spy.check(12)
+
+
+def test_sweeps_raise_on_a_bad_transmit_power_even_in_degenerate_cells():
+    # -4000 dBm is 0 W; the area sweep must not count it as degenerate cells
+    cfg = tiny_config()
+    message = "transmit power 0.0 must be finite and positive"
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_area_sweep(cfg, [-20.0, -10.0], [2.0], p_bs_dbm=-4000.0)
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_area_sweep(cfg, [-20.0], [0.0], p_bs_dbm=-4000.0, target_z=3.0)  # on the surface
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_t2_sweep(cfg, [9], p_bs_dbm=-4000.0)
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_experiment(replace(cfg, p_bs_dbm_sweep=[-4000.0]))
+
+
+def test_an_area_cell_counts_only_a_degenerate_scene_as_failed(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvalidArgumentError("not a degenerate scene")
+
+    harness._trial_data.cache_clear()
+    monkeypatch.setattr(harness, "stage2_model", broken)
+    with pytest.raises(InvalidArgumentError, match="not a degenerate scene"):
+        run_area_sweep(tiny_config(), [-15.0], [2.0], p_bs_dbm=30.0)
+    monkeypatch.undo()
+    harness._trial_data.cache_clear()
+    with pytest.raises(IrslocError):  # a degenerate scene outside the area sweep still raises
+        run_experiment(replace(tiny_config(), scene=replace(
+            tiny_config().scene, targets=[Position3(-20.0, 0.0, 3.0)])))
 
 
 def test_undersampled_codebook_warns_at_most_once_per_power_point():
