@@ -6,7 +6,6 @@ from .arrays import (
     SpatialAnglePair,
     UpaConfig,
     dft_codebook,
-    normalized_beam_gain,
     spatial_doa,
     steering_derivative,
     steering_vector,
@@ -14,7 +13,6 @@ from .arrays import (
     upa_response_derivatives,
 )
 from .channel import (
-    PathGain,
     PathKind,
     SceneGeometry,
     cascade_power_closed_form,
@@ -25,17 +23,14 @@ from .channel import (
     dbm_to_watts,
     dbsm_to_m2,
     path_gain,
-    stage2_effective_channel,
 )
 from .crb import (
     FimResult,
     crb_trace_stage1,
-    fim_finite_difference_oracle,
     fim_stage1,
     fim_stage1_white,
     fim_stage2_case1,
     fim_stage2_case2,
-    repeated_codeword_witness,
 )
 from .errors import (
     CapacityError,
@@ -68,10 +63,8 @@ from .localization import (
 )
 from .stage1 import (
     MusicEstimate,
-    SnapshotBlock,
     music_estimate,
     music_estimates,
-    music_spectrum,
     sample_covariance,
     signal_noise_subspaces,
     stage1_echo,

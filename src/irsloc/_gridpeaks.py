@@ -55,4 +55,3 @@ def top_peaks_2d(values: np.ndarray, k: int, suppression_radius: int) -> list[tu
             return [(int(i), int(j))]
     mask = local_maxima_2d(values)
     return strongest_separated(np.argwhere(mask), values[mask], k, suppression_radius)
-

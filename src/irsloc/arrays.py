@@ -167,19 +167,3 @@ def _dft_table(n: int, t: int) -> np.ndarray:
     table = np.exp(-2j * np.pi * np.arange(t) / t)[np.outer(np.arange(n), np.arange(t)) % t]
     table.setflags(write=False)
     return table
-
-
-def normalized_beam_gain(delta_mu: float, delta_nu: float, n_bar: int) -> float:
-    """Normalized gain of an n_bar x n_bar UPA beam at offset (delta_mu, delta_nu).
-
-    (1/n_bar^2) * |sum_i e^{j pi (n_bar-2i+1) dmu/2}| * |same in dnu|; equals 1
-    at (0, 0), first null at |offset| = 2/n_bar.
-    """
-    if n_bar < 1:
-        raise InvalidArgumentError("array size must be >= 1")
-
-    def factor(delta: float) -> float:
-        i = np.arange(1, n_bar + 1)
-        return float(np.abs(np.sum(np.exp(1j * np.pi * (n_bar - 2 * i + 1) * delta / 2))))
-
-    return factor(delta_mu) * factor(delta_nu) / n_bar**2

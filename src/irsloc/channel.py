@@ -3,9 +3,8 @@
 All four channels are rank-1 outer products of planar-array responses.  The
 routes are named by their hops: BTB (BS-target-BS), B2I (BS-IRS), ITI
 (IRS-target-IRS), and BTI (BS-target-IRS).  Both stages synthesize from the
-rank-1 factors, so the dense builders and stage2_effective_channel serve as
-the test oracle for the samples and for the power identities (honest
-Frobenius norms), and `irsloc validate` checks the effective channel.
+rank-1 factors; the dense builders back the test oracles in tests/oracles.py,
+which check the samples and the power identities (honest Frobenius norms).
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ class PathKind(enum.Enum):
     B2I = "b2i"
     ITI = "iti"
     BTI = "bti"
-
-
-@dataclass(frozen=True)
-class PathGain:
-    """Complex amplitude of one echo route."""
-
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ def _check_distance(d: float, what: str) -> None:
 
 
 def path_gain(kind: PathKind, geometry: SceneGeometry,
-              irs_index: int | None = None, target_index: int | None = None) -> PathGain:
+              irs_index: int | None = None, target_index: int | None = None) -> complex:
     """Complex path gain for one route.
 
     Magnitudes follow the radar/free-space laws:
@@ -173,7 +165,7 @@ def path_gain(kind: PathKind, geometry: SceneGeometry,
         phase = -2 * np.pi * (d_bt + d_it) / lam
     else:
         raise InvalidArgumentError(f"unknown path kind {kind}")
-    return PathGain(value=complex(mag * np.exp(1j * phase)))
+    return complex(mag * np.exp(1j * phase))
 
 
 def _symmetric_outer(beta: complex, v: np.ndarray) -> np.ndarray:
@@ -185,14 +177,14 @@ def _symmetric_outer(beta: complex, v: np.ndarray) -> np.ndarray:
 
 def channel_btb(geometry: SceneGeometry, target_index: int) -> np.ndarray:
     """BS-target-BS channel beta * a a^T (N_BS x N_BS, rank 1, symmetric)."""
-    beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
+    beta = path_gain(PathKind.BTB, geometry, target_index=target_index)
     a = upa_response(geometry.bs_target_doa(target_index), geometry.bs_upa)
     return _symmetric_outer(beta, a)
 
 
 def channel_b2i(geometry: SceneGeometry, irs_index: int) -> np.ndarray:
     """BS-to-IRS channel beta * b_r a^T (N_r x N_BS, rank 1)."""
-    beta = path_gain(PathKind.B2I, geometry, irs_index=irs_index).value
+    beta = path_gain(PathKind.B2I, geometry, irs_index=irs_index)
     b_r = upa_response(geometry.bs_irs_aoa(irs_index), geometry.irs_upa[irs_index])
     a = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
     return beta * np.outer(b_r, a)
@@ -200,14 +192,14 @@ def channel_b2i(geometry: SceneGeometry, irs_index: int) -> np.ndarray:
 
 def channel_iti(geometry: SceneGeometry, irs_index: int, target_index: int) -> np.ndarray:
     """IRS-target-IRS channel beta * b_t b_t^T (N_r x N_r, rank 1, symmetric)."""
-    beta = path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index).value
+    beta = path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index)
     b_t = upa_response(geometry.irs_target_doa(irs_index, target_index), geometry.irs_upa[irs_index])
     return _symmetric_outer(beta, b_t)
 
 
 def channel_bti(geometry: SceneGeometry, irs_index: int, target_index: int) -> np.ndarray:
     """BS-target-IRS channel beta * b_t a^T (N_r x N_BS, rank 1)."""
-    beta = path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index).value
+    beta = path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index)
     b_t = upa_response(geometry.irs_target_doa(irs_index, target_index), geometry.irs_upa[irs_index])
     a = upa_response(geometry.bs_target_doa(target_index), geometry.bs_upa)
     return beta * np.outer(b_t, a)
@@ -232,27 +224,6 @@ def add_circular_noise(signal: np.ndarray, variance: float, rng: np.random.Gener
     return signal
 
 
-def stage2_effective_channel(geometry: SceneGeometry, irs_index: int, target_index: int,
-                             theta: np.ndarray) -> np.ndarray:
-    """Reflected three-term channel seen at the BS after direct-link removal.
-
-    H_B2I^T diag(theta) H_ITI diag(theta) H_B2I
-      + H_B2I^T diag(theta) H_BTI + H_BTI^T diag(theta) H_B2I
-    """
-    theta, n_r = np.asarray(theta), geometry.n_irs(irs_index)
-    if theta.shape != (n_r,):
-        raise InvalidArgumentError(f"phase vector must have shape ({n_r},), got {theta.shape}")
-    check_unit_modulus(theta)
-    h_b2i = channel_b2i(geometry, irs_index)
-    h_iti = channel_iti(geometry, irs_index, target_index)
-    h_bti = channel_bti(geometry, irs_index, target_index)
-    t_b2i = theta[:, None] * h_b2i          # diag(theta) @ H_B2I
-    term1 = h_b2i.T @ (theta[:, None] * (h_iti @ t_b2i))
-    term2 = h_b2i.T @ (theta[:, None] * h_bti)
-    term3 = h_bti.T @ t_b2i
-    return term1 + term2 + term3
-
-
 def cascade_power_closed_form(geometry: SceneGeometry, irs_index: int,
                               target_index: int) -> tuple[float, float]:
     """Closed-form powers of the double-bounce and single-bounce reflected links.
@@ -264,9 +235,9 @@ def cascade_power_closed_form(geometry: SceneGeometry, irs_index: int,
     """
     n_bs = geometry.n_bs
     n_r = geometry.n_irs(irs_index)
-    b_b2i = abs(path_gain(PathKind.B2I, geometry, irs_index=irs_index).value)
-    b_iti = abs(path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index).value)
-    b_bti = abs(path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index).value)
+    b_b2i = abs(path_gain(PathKind.B2I, geometry, irs_index=irs_index))
+    b_iti = abs(path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index))
+    b_bti = abs(path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index))
     p1 = (b_iti * b_b2i**2) ** 2 * n_bs**2 * n_r**4
     p2 = 2 * (b_bti * b_b2i) ** 2 * n_bs**2 * n_r**2
     return p1, p2

@@ -2,8 +2,8 @@
 
 Every FIM here is the Gaussian-mean form 2/sigma^2 * Re{(du/d eta_i)^H (du/d eta_j)}:
 the noise covariance never depends on the parameters, so only the mean
-derivatives matter.  A finite-difference oracle over the same rule provides
-an independent check of every closed form.
+derivatives matter.  The tests check every closed form against an independent
+finite-difference FIM over the same rule (tests/oracles.py).
 
 The stage-1 FIM takes the Gram of the echo mean's Jacobian against the
 probing codebook itself: every Jacobian column is a sum of outer products of
@@ -21,9 +21,8 @@ times its value at unit power and unit noise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .arrays import (
     upa_response_derivatives,
 )
 from .channel import PathKind, SceneGeometry, check_unit_modulus, path_gain
-from .errors import InvalidArgumentError, OracleFailureError
+from .errors import InvalidArgumentError
 from .stage2 import (
     KroneckerCodewords,
     beam_gains,
@@ -59,13 +58,6 @@ class FimResult:
 
     def crb(self, label: str) -> float:
         return float(self.crb_diag[self.parameter_labels.index(label)])
-
-
-@dataclass
-class RepeatedCodewordWitness:
-    determinant: float
-    f11f22_minus_f12f21_norm: float
-    block_product_norm: float
 
 
 def _finalize(matrix: np.ndarray, labels: Sequence[str]) -> FimResult:
@@ -122,7 +114,7 @@ def fim_stage1(geometry: SceneGeometry, probing: np.ndarray, noise_var: float,
     n_bs = geometry.n_bs
     if w.ndim != 2 or w.shape[0] != n_bs:
         raise InvalidArgumentError(f"probing codebook must be ({n_bs}, T1), got {w.shape}")
-    beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
+    beta = path_gain(PathKind.BTB, geometry, target_index=target_index)
     doa = geometry.bs_target_doa(target_index)
     resp = np.stack([upa_response(doa, geometry.bs_upa),
                      *upa_response_derivatives(doa, geometry.bs_upa)], axis=1)
@@ -146,7 +138,7 @@ def fim_stage1_white(geometry: SceneGeometry, p_bs_watts: float, t1: int,
     """
     if noise_var <= 0:
         raise InvalidArgumentError("noise variance must be positive")
-    beta = path_gain(PathKind.BTB, geometry, target_index=target_index).value
+    beta = path_gain(PathKind.BTB, geometry, target_index=target_index)
     cfg = geometry.bs_upa
     ab2 = abs(beta) ** 2
     f = np.zeros((4, 4))
@@ -266,106 +258,3 @@ def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
     jac = np.stack(cols, axis=1)
     # the matched filter's noise is CN(0, N_BS sigma^2) per sample
     return _gaussian_fim(jac.conj().T @ jac, noise_var * geometry.n_bs, CASE2_LABELS)
-
-
-def fim_finite_difference_oracle(mean_fn: Callable[[np.ndarray], np.ndarray],
-                                 noise_var, params: np.ndarray, h=1e-5,
-                                 labels: Sequence[str] | None = None) -> FimResult:
-    """Gaussian-mean FIM with central-difference derivatives of mean_fn.
-
-    F_ij = 2 Re{(du/d eta_i)^H diag(1/sigma^2) (du/d eta_j)}; noise_var may be
-    a scalar or a per-sample vector.  Independent of every closed form above.
-    """
-    params = np.asarray(params, dtype=float)
-    p = params.size
-    steps = np.broadcast_to(np.asarray(h, dtype=float), (p,))
-    cols = []
-    for i in range(p):
-        lo, hi = params.copy(), params.copy()
-        lo[i] -= steps[i]
-        hi[i] += steps[i]
-        f_hi, f_lo = np.asarray(mean_fn(hi)), np.asarray(mean_fn(lo))
-        if not (np.all(np.isfinite(f_hi)) and np.all(np.isfinite(f_lo))):
-            raise OracleFailureError(f"non-finite mean at parameter {i}")
-        cols.append((f_hi - f_lo) / (2.0 * steps[i]))
-    jac = np.stack(cols, axis=1)
-    inv_var = 1.0 / np.asarray(noise_var, dtype=float)
-    if inv_var.ndim == 0:
-        f = 2.0 * inv_var * (jac.conj().T @ jac).real
-    else:
-        f = 2.0 * (jac.conj().T @ (inv_var[:, None] * jac)).real
-    if labels is None:
-        labels = [f"eta_{i}" for i in range(p)]
-    return _finalize(f, labels)
-
-
-def stage1_mean_builder(geometry: SceneGeometry, probing: np.ndarray,
-                        target_index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """Mean map eta = [mu, nu, Re beta, Im beta] -> vec(beta A(mu, nu) W)."""
-    cfg = geometry.bs_upa
-
-    def mean(params: np.ndarray) -> np.ndarray:
-        mu, nu, re_b, im_b = params
-        a = upa_response(SpatialAnglePair(mu, nu), cfg)
-        return (re_b + 1j * im_b) * (np.outer(a, a) @ probing).ravel(order="F")
-
-    return mean
-
-
-def stage2_case1_mean_builder(geometry: SceneGeometry, irs_index: int,
-                              irs_codewords: Sequence[np.ndarray],
-                              ) -> Callable[[np.ndarray], np.ndarray]:
-    """Mean map eta = [mu, nu, Re alpha, Im alpha] -> alpha (w_t^T q(mu, nu))^2."""
-    cfg = geometry.irs_upa[irs_index]
-    w = _check_codewords(irs_codewords, cfg.n)
-
-    def mean(params: np.ndarray) -> np.ndarray:
-        mu, nu, re_a, im_a = params
-        q = upa_response(SpatialAnglePair(mu, nu), cfg)
-        return (re_a + 1j * im_a) * (w.T @ q) ** 2
-
-    return mean
-
-
-def stage2_case2_mean_builder(geometry: SceneGeometry, irs_index: int,
-                              irs_codewords: Sequence[np.ndarray],
-                              ) -> Callable[[np.ndarray], np.ndarray]:
-    """Mean map over [mu_i2t, nu_i2t, mu_b2t, nu_b2t, Re/Im alpha_tilde]."""
-    cfg = geometry.irs_upa[irs_index]
-    w = _check_codewords(irs_codewords, cfg.n)
-    aoa = geometry.bs_irs_aoa(irs_index)
-    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-    bs_cfg = geometry.bs_upa
-
-    def mean(params: np.ndarray) -> np.ndarray:
-        mu_it, nu_it, mu_bt, nu_bt, re_a, im_a = params
-        q = upa_response(SpatialAnglePair(aoa.mu + mu_it, aoa.nu + nu_it), cfg)
-        b = complex(np.vdot(a_irs, upa_response(SpatialAnglePair(mu_bt, nu_bt), bs_cfg)))
-        return (re_a + 1j * im_a) * b * (w.T @ q)
-
-    return mean
-
-
-def repeated_codeword_witness(geometry: SceneGeometry, irs_index: int, target_index: int,
-                     irs_codewords: Sequence[np.ndarray], noise_var: float,
-                     p_bs_watts: float = 1.0) -> RepeatedCodewordWitness:
-    """Block-factorization check of the repeated-codeword FIM.
-
-    With one codeword reused for every sample, F11 F22 equals F12 F21 and the
-    determinant vanishes; distinct codewords break the cancellation.
-    """
-    w0 = np.asarray(irs_codewords[0])
-    if any(not np.allclose(np.asarray(c), w0) for c in irs_codewords[1:]):
-        warnings.warn("repeated_codeword_witness expects identical codewords; blocks will not cancel",
-                      stacklevel=2)
-    result = fim_stage2_case1(geometry, irs_index, target_index, irs_codewords,
-                              noise_var, p_bs_watts)
-    f = result.matrix
-    f11, f12, f21, f22 = f[:2, :2], f[:2, 2:], f[2:, :2], f[2:, 2:]
-    prod = f11 @ f22
-    residual = prod - f12 @ f21
-    return RepeatedCodewordWitness(
-        determinant=result.determinant,
-        f11f22_minus_f12f21_norm=float(np.linalg.norm(residual)),
-        block_product_norm=float(np.linalg.norm(prod)),
-    )

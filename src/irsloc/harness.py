@@ -325,7 +325,7 @@ def _amplitude(p_bs_dbm: float) -> float:
 def _stage1_samples(config: ExperimentConfig, echo: np.ndarray, seed: int) -> np.ndarray:
     """A trial's noisy stage-1 snapshots: its seeded noise added into echo, which it consumes."""
     return synthesize_stage1(config.scene, None, config.noise_var, _stage_seed(seed, 0),
-                             echo=echo).samples
+                             echo=echo)
 
 
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,

@@ -46,13 +46,6 @@ ZOOM_NODES = 1 << 14  # grid nodes per stacked zoom evaluation; bounds its memor
 
 
 @dataclass
-class SnapshotBlock:
-    """T1 received snapshots."""
-
-    samples: np.ndarray  # (N_BS, T1) complex
-
-
-@dataclass
 class MusicEstimate:
     angles: list[SpatialAnglePair]
     spectrum_peak_values: list[float]
@@ -71,7 +64,7 @@ def stage1_echo(geometry: SceneGeometry, probing: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(f"probing must be ({n_bs}, T1>=1), got {probing.shape}")
     y = np.zeros(probing.shape, dtype=complex)
     for k in range(len(geometry.targets)):
-        beta = path_gain(PathKind.BTB, geometry, target_index=k).value
+        beta = path_gain(PathKind.BTB, geometry, target_index=k)
         a = upa_response(geometry.bs_target_doa(k), geometry.bs_upa)
         y += np.outer(beta * a, a @ probing)
     return y
@@ -79,8 +72,8 @@ def stage1_echo(geometry: SceneGeometry, probing: np.ndarray) -> np.ndarray:
 
 def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray | None,
                       noise_var: float, seed: int, *,
-                      echo: np.ndarray | None = None) -> SnapshotBlock:
-    """Y = (sum_k H_BTB,k) W + N with i.i.d. circular complex Gaussian noise.
+                      echo: np.ndarray | None = None) -> np.ndarray:
+    """Y = (sum_k H_BTB,k) W + N, (N_BS, T1), with i.i.d. circular complex Gaussian noise.
 
     echo is stage1_echo(geometry, probing), built here unless the caller
     passes one (probing may then be None).  The noise is added into the echo
@@ -93,12 +86,11 @@ def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray | None,
     y = stage1_echo(geometry, probing) if echo is None else echo
     if noise_var > 0:
         y = add_circular_noise(y, noise_var, np.random.default_rng(seed))
-    return SnapshotBlock(samples=y)
+    return y
 
 
-def sample_covariance(block: SnapshotBlock) -> np.ndarray:
-    """(1/T1) Y Y^H."""
-    y = block.samples
+def sample_covariance(y: np.ndarray) -> np.ndarray:
+    """(1/T1) Y Y^H of the (N_BS, T1) snapshots Y."""
     return (y @ y.conj().T) / y.shape[1]
 
 
@@ -203,20 +195,6 @@ def _coarse_grid(grid_resolution: float, n_y: int, n_z: int) -> tuple[np.ndarray
     for a in grid:
         a.setflags(write=False)
     return grid
-
-
-def music_spectrum(cov: np.ndarray, cfg: UpaConfig, k: int,
-                   grid_resolution: float = DEFAULT_GRID_RESOLUTION,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MUSIC spectrum 1 / (a^H U_n U_n^H a) over the dense grid on [-1, 1]^2.
-
-    cov is the snapshot block Y or a covariance built from it (see
-    _signal_subspace).  Returns (mu_axis, nu_axis, values) with values[i, j] at
-    (mu_axis[i], nu_axis[j]).
-    """
-    signal = _columns(_signal_subspace(cov, k), cfg)
-    return (_axis(grid_resolution), _axis(grid_resolution),
-            1.0 / _deficit(signal, *_tables(cfg, grid_resolution)))
 
 
 def _zoom(signal: list[np.ndarray], owner: np.ndarray, table_y: np.ndarray, table_z: np.ndarray,

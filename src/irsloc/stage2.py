@@ -167,8 +167,8 @@ def composite_angle(geometry: SceneGeometry, irs_index: int, target_index: int) 
 def case1_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
                     p_bs_watts: float) -> complex:
     """alpha = sqrt(P N_BS) N_BS beta_B2I^2 beta_ITI (double-bounce scalar gain)."""
-    b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index).value
-    b_iti = path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index).value
+    b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index)
+    b_iti = path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index)
     n_bs = geometry.n_bs
     return np.sqrt(p_bs_watts * n_bs) * n_bs * b_b2i**2 * b_iti
 
@@ -176,8 +176,8 @@ def case1_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
 def case2_amplitude(geometry: SceneGeometry, irs_index: int, target_index: int,
                     p_bs_watts: float) -> tuple[complex, complex]:
     """(alpha_tilde, b): single-bounce scalar gain and the BS beam-mismatch factor."""
-    b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index).value
-    b_bti = path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index).value
+    b_b2i = path_gain(PathKind.B2I, geometry, irs_index=irs_index)
+    b_bti = path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index)
     alpha_t = 2.0 * np.sqrt(p_bs_watts * geometry.n_bs) * b_b2i * b_bti
     a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
     a_tgt = upa_response(geometry.bs_target_doa(target_index), geometry.bs_upa)
@@ -261,9 +261,9 @@ def classify_regime(geometry: SceneGeometry, irs_index: int, target_index: int) 
     from the BS and the surface this reduces to sqrt(2) / beta_B2I.
     """
     p1, p2 = cascade_power_closed_form(geometry, irs_index, target_index)
-    b_b2i = abs(path_gain(PathKind.B2I, geometry, irs_index=irs_index).value)
-    b_iti = abs(path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index).value)
-    b_bti = abs(path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index).value)
+    b_b2i = abs(path_gain(PathKind.B2I, geometry, irs_index=irs_index))
+    b_iti = abs(path_gain(PathKind.ITI, geometry, irs_index=irs_index, target_index=target_index))
+    b_bti = abs(path_gain(PathKind.BTI, geometry, irs_index=irs_index, target_index=target_index))
     threshold = np.sqrt(2.0) * b_bti / (b_iti * b_b2i)
     if p1 >= p2:
         regime = Regime.CASE1_IRS_DOMINANT

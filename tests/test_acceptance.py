@@ -23,7 +23,6 @@ from irsloc import (
     construct_location,
     dbm_to_watts,
     dft_codebook,
-    fim_finite_difference_oracle,
     fim_stage1,
     fim_stage1_white,
     fim_stage2_case1,
@@ -39,17 +38,11 @@ from irsloc import (
     steering_vector,
     synthesize_stage1,
     synthesize_stage2,
-    repeated_codeword_witness,
     trial_seed,
     upa_response,
     upa_response_derivatives,
 )
 from irsloc.channel import PathKind, path_gain
-from irsloc.crb import (
-    stage1_mean_builder,
-    stage2_case1_mean_builder,
-    stage2_case2_mean_builder,
-)
 from irsloc.localization import DoAPairObservation
 from irsloc.stage2 import (
     Regime,
@@ -61,6 +54,8 @@ from irsloc.stage2 import (
 )
 
 from conftest import random_desk_scene
+from oracles import (fim_finite_difference_oracle, repeated_codeword_witness, stage1_mean_builder,
+                     stage2_case1_mean_builder, stage2_case2_mean_builder)
 
 NOISE_VAR = dbm_to_watts(-80.0)
 
@@ -111,7 +106,7 @@ def test_criterion_2_fim_oracle_equivalence():
         w = (r.standard_normal((g.n_bs, t1)) + 1j * r.standard_normal((g.n_bs, t1))) / np.sqrt(2)
         noise = float(r.uniform(0.2, 2.0))
         closed = fim_stage1(g, w, noise)
-        beta = path_gain(PathKind.BTB, g, target_index=0).value
+        beta = path_gain(PathKind.BTB, g, target_index=0)
         doa = g.bs_target_doa(0)
         fd = fim_finite_difference_oracle(
             stage1_mean_builder(g, w), noise,
@@ -200,7 +195,7 @@ def test_criterion_4_reflected_link_power_identities():
 
     g0 = scene(4)
     assert g0.d_b2t(0) == pytest.approx(g0.d_i2t(0, 0), rel=1e-12)
-    beta = abs(path_gain(PathKind.B2I, g0, irs_index=0).value)
+    beta = abs(path_gain(PathKind.B2I, g0, irs_index=0))
     threshold = np.sqrt(2.0) / beta
     lo = int(threshold) - 4
     flips = [classify_regime(scene(n), 0, 0).regime is Regime.CASE1_IRS_DOMINANT
@@ -354,8 +349,8 @@ def test_criterion_9_property_suites():
 
     # seed determinism end to end
     probing = dft_codebook(g.n_bs, 12, 1.0)
-    b1 = synthesize_stage1(g, probing, 1e-6, 5).samples
-    b2 = synthesize_stage1(g, probing, 1e-6, 5).samples
+    b1 = synthesize_stage1(g, probing, 1e-6, 5)
+    b2 = synthesize_stage1(g, probing, 1e-6, 5)
     assert np.array_equal(b1, b2)
     o1 = synthesize_stage2(g, 0, plan, 1e-9, 6, Stage2Mode.CASE1_APPROX, 1.0)
     o2 = synthesize_stage2(g, 0, plan, 1e-9, 6, Stage2Mode.CASE1_APPROX, 1.0)

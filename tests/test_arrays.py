@@ -12,7 +12,6 @@ from irsloc import (
     SpatialAnglePair,
     UpaConfig,
     dft_codebook,
-    normalized_beam_gain,
     spatial_doa,
     steering_derivative,
     steering_vector,
@@ -20,6 +19,8 @@ from irsloc import (
     upa_response_derivatives,
 )
 from irsloc.errors import DegenerateGeometryError
+
+from oracles import normalized_beam_gain
 
 angles = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 sizes = st.integers(min_value=1, max_value=64)

@@ -136,6 +136,14 @@ def test_validate_subcommand_passes(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_validate_subcommand_fails_on_a_colliding_seed_ladder(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("irsloc.cli.trial_seed", lambda base_seed, sweep, trial: 1)
+    assert main(["validate", write_config(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL  seed ladder is collision-free over a small block" in out
+    assert out[-1] == "1 check(s) failed"
+
+
 def test_fig11_snapshot(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "fig11.csv"

@@ -7,22 +7,15 @@ from irsloc import (
     Position3,
     crb_trace_stage1,
     dft_codebook,
-    fim_finite_difference_oracle,
     fim_stage1,
     fim_stage1_white,
     fim_stage2_case1,
     fim_stage2_case2,
-    repeated_codeword_witness,
     UpaConfig,
     upa_response,
     upa_response_derivatives,
 )
 from irsloc.channel import PathKind, path_gain
-from irsloc.crb import (
-    stage1_mean_builder,
-    stage2_case1_mean_builder,
-    stage2_case2_mean_builder,
-)
 from irsloc.errors import InvalidArgumentError, OracleFailureError
 from irsloc.stage2 import (
     KroneckerCodewords,
@@ -38,6 +31,8 @@ from irsloc.stage2 import (
 )
 
 from conftest import random_desk_scene
+from oracles import (fim_finite_difference_oracle, repeated_codeword_witness, stage1_mean_builder,
+                     stage2_case1_mean_builder, stage2_case2_mean_builder)
 
 
 def white_cov(n, p):
@@ -74,7 +69,7 @@ def test_white_probing_fim_is_diagonal():
 def test_white_fim_mu_entry_closed_form():
     g = random_desk_scene(5)
     p, t1, noise = 1.7, 8, 0.9
-    beta = path_gain(PathKind.BTB, g, target_index=0).value
+    beta = path_gain(PathKind.BTB, g, target_index=0)
     n_y, n_z = g.bs_upa.n_y, g.bs_upa.n_z
     expected = (abs(beta) ** 2 * t1 * p * np.pi**2 * n_z / noise
                 * sum((n_y - 2 * k + 1) ** 2 for k in range(1, n_y + 1)))
@@ -132,7 +127,7 @@ def test_stage1_fim_matches_fd_oracle():
         w = random_probing(g.n_bs, t1, seed)
         noise = 0.7
         closed = fim_stage1(g, w, noise)
-        beta = path_gain(PathKind.BTB, g, target_index=0).value
+        beta = path_gain(PathKind.BTB, g, target_index=0)
         doa = g.bs_target_doa(0)
         fd = fim_finite_difference_oracle(
             stage1_mean_builder(g, w), noise,
@@ -144,7 +139,7 @@ def test_stage1_fim_matches_fd_oracle():
 
 def dense_fim_stage1(g, r, t1, noise_var):
     """The stage-1 FIM from dense N_BS x N_BS trace products in R: the oracle for the Jacobian form."""
-    beta = path_gain(PathKind.BTB, g, target_index=0).value
+    beta = path_gain(PathKind.BTB, g, target_index=0)
     doa = g.bs_target_doa(0)
     a = upa_response(doa, g.bs_upa)
     da_mu, da_nu = upa_response_derivatives(doa, g.bs_upa)
@@ -249,7 +244,7 @@ def test_fd_oracle_exact_for_linear_mean():
 def test_fd_oracle_second_order_convergence():
     g = random_desk_scene(60)
     w = random_probing(g.n_bs, 8, 0)
-    beta = path_gain(PathKind.BTB, g, target_index=0).value
+    beta = path_gain(PathKind.BTB, g, target_index=0)
     doa = g.bs_target_doa(0)
     params = np.array([doa.mu, doa.nu, beta.real, beta.imag])
     closed = fim_stage1(g, w, 1.0)

@@ -12,7 +12,6 @@ from irsloc import (
     dft_codebook,
     music_estimate,
     music_estimates,
-    music_spectrum,
     sample_covariance,
     signal_noise_subspaces,
     synthesize_stage1,
@@ -22,6 +21,8 @@ from irsloc._gridpeaks import top_peaks_2d
 from irsloc.channel import channel_btb, dbm_to_watts
 from irsloc import stage1
 from irsloc.stage1 import SEARCH_BATCH, _coarse_grid, _coarse_stride, _signal_subspace, stage1_echo
+
+from oracles import music_spectrum
 
 
 def small_scene(targets=None):
@@ -38,7 +39,7 @@ def test_noiseless_columns_live_in_steering_span():
     block = synthesize_stage1(g, w, 0.0, 1)
     a = upa_response(g.bs_target_doa(0), g.bs_upa)
     a = a / np.linalg.norm(a)
-    for col in block.samples.T:
+    for col in block.T:
         residual = col - a * (a.conj() @ col)
         assert np.linalg.norm(residual) < 1e-10 * max(np.linalg.norm(col), 1.0)
 
@@ -47,7 +48,7 @@ def test_zero_probing_gives_pure_noise_variance():
     g = small_scene()
     t1 = 700  # T1 * N_BS > 1e4 samples
     block = synthesize_stage1(g, np.zeros((g.n_bs, t1)), 2.5, 42)
-    sample_var = np.mean(np.abs(block.samples) ** 2)
+    sample_var = np.mean(np.abs(block) ** 2)
     assert sample_var == pytest.approx(2.5, rel=0.05)
 
 
@@ -57,8 +58,8 @@ def test_synthesis_is_deterministic_per_seed():
     b1 = synthesize_stage1(g, w, 1e-3, 7)
     b2 = synthesize_stage1(g, w, 1e-3, 7)
     b3 = synthesize_stage1(g, w, 1e-3, 8)
-    assert np.array_equal(b1.samples, b2.samples)
-    assert not np.array_equal(b1.samples, b3.samples)
+    assert np.array_equal(b1, b2)
+    assert not np.array_equal(b1, b3)
 
 
 def test_synthesis_rejects_wrong_probing_shape():
@@ -76,7 +77,7 @@ def test_synthesis_matches_dense_channel_oracle():
     rng = np.random.default_rng(11)
     noise = rng.standard_normal((g.n_bs, 16)) + 1j * rng.standard_normal((g.n_bs, 16))
     dense = (channel_btb(g, 0) + channel_btb(g, 1)) @ w + np.sqrt(1e-3 / 2.0) * noise
-    np.testing.assert_allclose(block.samples, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+    np.testing.assert_allclose(block, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -87,13 +88,21 @@ def test_noise_added_into_a_scaled_echo_matches_the_two_draw_formula(seed):
     unit = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
     unit.setflags(write=False)
     amplitude, noise_var = np.sqrt(dbm_to_watts(20.0)), 1e-11
-    got = synthesize_stage1(g, None, noise_var, seed, echo=amplitude * unit).samples
+    got = synthesize_stage1(g, None, noise_var, seed, echo=amplitude * unit)
     rng = np.random.default_rng(seed)
     want = np.empty(unit.shape, dtype=complex)
     want.real = np.sqrt(noise_var / 2.0) * rng.standard_normal(unit.shape)
     want.imag = np.sqrt(noise_var / 2.0) * rng.standard_normal(unit.shape)
     want += amplitude * unit
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("noise_var", [1e-3, 0.0])
+def test_synthesis_returns_the_passed_echo_itself(noise_var):
+    # the harness passes a fresh scaled echo and keeps the result, so no copy is made
+    g = small_scene()
+    y = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
+    assert synthesize_stage1(g, None, noise_var, 3, echo=y) is y
 
 
 def test_sample_covariance_properties():
@@ -103,7 +112,7 @@ def test_sample_covariance_properties():
     cov = sample_covariance(block)
     sym = 0.5 * (cov + cov.conj().T)
     assert np.allclose(sym, sym.conj().T)
-    assert np.trace(cov).real == pytest.approx(np.linalg.norm(block.samples, "fro") ** 2 / 32,
+    assert np.trace(cov).real == pytest.approx(np.linalg.norm(block, "fro") ** 2 / 32,
                                                rel=1e-12)
     noiseless = sample_covariance(synthesize_stage1(g, w, 0.0, 3))
     eigvals = np.linalg.eigvalsh(0.5 * (noiseless + noiseless.conj().T))[::-1]
@@ -280,14 +289,14 @@ def test_coarse_to_fine_search_matches_dense_grid(name):
         probing = dft_codebook(g.n_bs, 60, dbm_to_watts(p_dbm))
         for seed in range(5):
             block = synthesize_stage1(g, probing, 1e-11, 1000 * (p_dbm + 10) + seed)
-            _, _, spec = music_spectrum(block.samples, g.bs_upa, k, res)
+            _, _, spec = music_spectrum(block, g.bs_upa, k, res)
             want = top_peaks_2d(spec, k, 3)
-            got = grid_nodes(music_estimate(block.samples, g.bs_upa, k, res, refine_levels=0), res)
+            got = grid_nodes(music_estimate(block, g.bs_upa, k, res, refine_levels=0), res)
             assert sorted(got) == sorted(want), (p_dbm, seed)
             for node, value in got.items():
                 assert value == pytest.approx(spec[node], rel=1e-9)
             if seed == 0:
-                from_y = music_estimate(block.samples, g.bs_upa, k, res, refine_levels=2)
+                from_y = music_estimate(block, g.bs_upa, k, res, refine_levels=2)
                 from_cov = music_estimate(sample_covariance(block), g.bs_upa, k, res,
                                           refine_levels=2)
                 assert from_y.angles == from_cov.angles, (p_dbm, seed)
@@ -300,10 +309,10 @@ def test_search_finds_weak_maximum_on_a_lobe_flank():
     # finds it
     g = flagship_bs_scene(SEARCH_SCENES["close_pair"])
     block = synthesize_stage1(g, dft_codebook(g.n_bs, 60, dbm_to_watts(-5.0)), 1e-11, 500024)
-    _, _, spec = music_spectrum(block.samples, g.bs_upa, 3, 2e-3)
+    _, _, spec = music_spectrum(block, g.bs_upa, 3, 2e-3)
     want = top_peaks_2d(spec, 3, 3)
     assert want[2] == (593, 393)
-    got = grid_nodes(music_estimate(block.samples, g.bs_upa, 3, 2e-3, refine_levels=0), 2e-3)
+    got = grid_nodes(music_estimate(block, g.bs_upa, 3, 2e-3, refine_levels=0), 2e-3)
     assert sorted(got) == sorted(want)
 
 
@@ -311,7 +320,7 @@ def test_snapshots_need_as_many_columns_as_targets():
     g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
     block = synthesize_stage1(g, dft_codebook(g.n_bs, 1, 1.0), 0.0, 0)
     with pytest.raises(InvalidArgumentError):
-        music_estimate(block.samples, g.bs_upa, 2, 0.01)
+        music_estimate(block, g.bs_upa, 2, 0.01)
 
 
 GRAM_TARGETS = [Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0), Position3(-9.0, -4.0, -1.0)]
@@ -328,7 +337,7 @@ def test_gram_subspace_matches_thin_svd(k, t1):
     g = small_scene(targets=GRAM_TARGETS[:k])
     for p_dbm in (-10, 0, 10, 20, 30, 40):
         y = synthesize_stage1(g, dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm)), 1e-11,
-                              1000 * k + 10 * t1 + p_dbm).samples
+                              1000 * k + 10 * t1 + p_dbm)
         u_svd = np.linalg.svd(y, full_matrices=False)[0][:, :k]
         u_s = _signal_subspace(y, k)
         assert u_s.shape == (g.n_bs, k)
@@ -346,7 +355,7 @@ def test_gram_subspace_of_a_covariance_matches_its_eigenvectors():
 def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
     # One noiseless target asked for two directions: the second has no signal.
     g = small_scene()
-    y = synthesize_stage1(g, dft_codebook(g.n_bs, 16, 1.0), 0.0, 0).samples
+    y = synthesize_stage1(g, dft_codebook(g.n_bs, 16, 1.0), 0.0, 0)
     u_s = _signal_subspace(y, 2)
     assert np.all(np.isfinite(u_s))
     assert np.max(np.abs(u_s.conj().T @ u_s - np.eye(2))) < 1e-12
@@ -356,7 +365,7 @@ def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
 
 def batch_blocks(g, p_dbm, seeds, t1=60):
     probing = dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm))
-    return [synthesize_stage1(g, probing, 1e-11, seed).samples for seed in seeds]
+    return [synthesize_stage1(g, probing, 1e-11, seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("name", ["one_target", "three_targets"])
