@@ -29,6 +29,7 @@ from .crb import (
     crb_trace_stage1,
     fim_stage1,
     fim_stage1_white,
+    fim_stage2,
     fim_stage2_case1,
     fim_stage2_case2,
 )
@@ -39,7 +40,6 @@ from .errors import (
     InconsistentDoAError,
     InvalidArgumentError,
     IrslocError,
-    OracleFailureError,
     UnderResolvedError,
 )
 from .harness import (

@@ -9,10 +9,13 @@ The stage-1 FIM takes the Gram of the echo mean's Jacobian against the
 probing codebook itself: every Jacobian column is a sum of outer products of
 the BS response and its derivatives with rows over the codebook, so the Gram
 needs only the 3x3 Gram of those responses and the rows.
-The stage-2 FIMs need only the per-sample projections w^T q, w^T qdot_mu and
-w^T qdot_nu of the scan codewords onto the surface response; for Kronecker
-codewords these are products of per-axis beam gains, c_y^T u_y times
-c_z^T u_z, so no codeword of the surface's full length is formed.
+One stage-2 FIM (fim_stage2) serves every echo model: it is taken over the
+surface angles and the complex gain of each echo term the mode carries,
+which is what the scan's samples identify.  It needs only the per-sample
+projections w^T q, w^T qdot_mu and w^T qdot_nu of the scan codewords onto
+the surface response; for Kronecker codewords these are products of per-axis
+beam gains, c_y^T u_y times c_z^T u_z, so no codeword of the surface's full
+length is formed.
 
 Every mean is linear in the transmit amplitude (through the probing codebook
 in stage 1, the gain parameters in stage 2), so every angle CRB is sigma^2/P
@@ -37,6 +40,7 @@ from .channel import PathKind, SceneGeometry, check_unit_modulus, path_gain
 from .errors import InvalidArgumentError
 from .stage2 import (
     KroneckerCodewords,
+    Stage2Mode,
     beam_gains,
     case1_amplitude,
     case2_amplitude,
@@ -83,8 +87,6 @@ def _finalize(matrix: np.ndarray, labels: Sequence[str]) -> FimResult:
 
 
 STAGE1_LABELS = ["mu_b2t", "nu_b2t", "re_beta", "im_beta"]
-CASE1_LABELS = ["mu", "nu", "re_alpha", "im_alpha"]
-CASE2_LABELS = ["mu_i2t", "nu_i2t", "mu_b2t", "nu_b2t", "re_alpha_tilde", "im_alpha_tilde"]
 
 
 def _centered_square_sum(n: int) -> float:
@@ -191,70 +193,55 @@ def _projections(cfg: UpaConfig, comp: SpatialAnglePair, codewords: Sequence[np.
     return gy[y] * gz[z], hy[y] * gz[z], gy[y] * hz[z]
 
 
+def fim_stage2(geometry: SceneGeometry, irs_index: int, target_index: int,
+               irs_codewords: Sequence[np.ndarray], noise_var: float, mode: Stage2Mode,
+               p_bs_watts: float = 1.0) -> FimResult:
+    """FIM of one surface's scan toward one target, over the parameters its echo identifies.
+
+    With s_t = w_t^T q the cascade projection of sample t, the mean is
+    alpha s_t^2 (double bounce) plus gamma s_t (single bounce, gamma =
+    alpha_tilde b); case 1 keeps the alpha term, case 2 the gamma term and
+    the full echo both.  The parameters are [mu, nu] plus Re/Im of each gain
+    the mode carries: 4x4 for either approximation, 6x6 for the full echo.
+    The BS angles enter the single bounce only through the complex scalar b,
+    so gamma absorbs them: a model over them would be singular by
+    construction, and the bound of the identifiable parameters is this one
+    (Stoica & Marzetta, IEEE TSP 49(1), 2001).  The matched filter's noise is
+    CN(0, N_BS sigma^2) per sample.
+    """
+    mode = Stage2Mode(mode)
+    comp = composite_angle(geometry, irs_index, target_index)
+    wq, wq_mu, wq_nu = _projections(geometry.irs_upa[irs_index], comp, irs_codewords)
+    # per echo term: its gain, the angle derivatives of its per-sample factor, the factor
+    terms, labels = [], ["mu", "nu"]
+    if mode is not Stage2Mode.CASE2_APPROX:
+        alpha = case1_amplitude(geometry, irs_index, target_index, p_bs_watts)
+        terms.append((alpha, 2.0 * wq * wq_mu, 2.0 * wq * wq_nu, wq**2))
+        labels += ["re_alpha", "im_alpha"]
+    if mode is not Stage2Mode.CASE1_APPROX:
+        alpha_t, b = case2_amplitude(geometry, irs_index, target_index, p_bs_watts)
+        terms.append((alpha_t * b, wq_mu, wq_nu, wq))
+        labels += ["re_gamma", "im_gamma"]
+    jac = np.stack([sum(g * d for g, d, _, _ in terms), sum(g * d for g, _, d, _ in terms),
+                    *(s for *_, s in terms)], axis=1)
+    # a gain's Re/Im columns are s and j s, so both read one complex Gram entry
+    col = np.r_[0, 1, np.repeat(np.arange(2, 2 + len(terms)), 2)]
+    unit = np.r_[1.0, 1.0, [1.0, 1j] * len(terms)]
+    gram = (jac.conj().T @ jac)[np.ix_(col, col)] * np.outer(unit.conj(), unit)
+    return _gaussian_fim(gram, noise_var * geometry.n_bs, labels)
+
+
 def fim_stage2_case1(geometry: SceneGeometry, irs_index: int, target_index: int,
                      irs_codewords: Sequence[np.ndarray], noise_var: float,
                      p_bs_watts: float = 1.0) -> FimResult:
-    """4x4 FIM over [mu, nu, Re alpha, Im alpha] for the double-bounce model.
-
-    The mean of sample t is alpha (w_t^T q)^2, so its derivatives are
-    2 (w_t^T q)(w_t^T qdot) and (w_t^T q)^2: the FIM is sums over the scan of
-    products of the three projections.  Kronecker codewords give those as
-    per-axis beam gains; other sequences are projected densely.
-    """
-    if noise_var <= 0:
-        raise InvalidArgumentError("noise variance must be positive")
-    cfg = geometry.irs_upa[irs_index]
-    comp = composite_angle(geometry, irs_index, target_index)
-    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
-    alpha = case1_amplitude(geometry, irs_index, target_index, p_bs_watts)
-
-    s0 = wq**2
-    s_mu = 2.0 * wq * wq_mu
-    s_nu = 2.0 * wq * wq_nu
-
-    c = 2.0 / (noise_var * geometry.n_bs)
-    aa2 = abs(alpha) ** 2
-    f = np.zeros((4, 4))
-    f[0, 0] = c * aa2 * float(np.sum(np.abs(s_mu) ** 2))
-    f[1, 1] = c * aa2 * float(np.sum(np.abs(s_nu) ** 2))
-    f[0, 1] = f[1, 0] = c * aa2 * float(np.sum(np.conj(s_mu) * s_nu).real)
-    z_mu = np.conj(alpha) * complex(np.sum(np.conj(s_mu) * s0))
-    z_nu = np.conj(alpha) * complex(np.sum(np.conj(s_nu) * s0))
-    f[0, 2:] = c * np.array([z_mu.real, -z_mu.imag])
-    f[1, 2:] = c * np.array([z_nu.real, -z_nu.imag])
-    f[2:, 0] = f[0, 2:]
-    f[2:, 1] = f[1, 2:]
-    f[2:, 2:] = c * float(np.sum(np.abs(s0) ** 2)) * np.eye(2)
-    return _finalize(f, CASE1_LABELS)
+    """fim_stage2 of the double-bounce model: 4x4 over [mu, nu, Re alpha, Im alpha]."""
+    return fim_stage2(geometry, irs_index, target_index, irs_codewords, noise_var,
+                      Stage2Mode.CASE1_APPROX, p_bs_watts)
 
 
 def fim_stage2_case2(geometry: SceneGeometry, irs_index: int, target_index: int,
                      irs_codewords: Sequence[np.ndarray], noise_var: float,
                      p_bs_watts: float = 1.0) -> FimResult:
-    """6x6 FIM over [mu_i2t, nu_i2t, mu_b2t, nu_b2t, Re/Im alpha_tilde].
-
-    Mean alpha_tilde * b * w_t^T q, with b the BS beam-mismatch scalar; the
-    angle derivatives split into w_t^T qdot terms and bdot scalars, so the
-    FIM again needs only the three per-sample projections of the scan.
-    """
-    cfg = geometry.irs_upa[irs_index]
-    comp = composite_angle(geometry, irs_index, target_index)
-    wq, wq_mu, wq_nu = _projections(cfg, comp, irs_codewords)
-    alpha_t, b = case2_amplitude(geometry, irs_index, target_index, p_bs_watts)
-
-    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-    da_mu, da_nu = upa_response_derivatives(geometry.bs_target_doa(target_index), geometry.bs_upa)
-    db_mu = complex(np.vdot(a_irs, da_mu))
-    db_nu = complex(np.vdot(a_irs, da_nu))
-
-    cols = [
-        alpha_t * b * wq_mu,
-        alpha_t * b * wq_nu,
-        alpha_t * db_mu * wq,
-        alpha_t * db_nu * wq,
-        b * wq,
-        1j * b * wq,
-    ]
-    jac = np.stack(cols, axis=1)
-    # the matched filter's noise is CN(0, N_BS sigma^2) per sample
-    return _gaussian_fim(jac.conj().T @ jac, noise_var * geometry.n_bs, CASE2_LABELS)
+    """fim_stage2 of the single-bounce model: 4x4 over [mu, nu, Re gamma, Im gamma]."""
+    return fim_stage2(geometry, irs_index, target_index, irs_codewords, noise_var,
+                      Stage2Mode.CASE2_APPROX, p_bs_watts)

@@ -33,9 +33,5 @@ class UnderResolvedError(IrslocError, RuntimeError):
         self.found = found
 
 
-class OracleFailureError(IrslocError, RuntimeError):
-    """Finite-difference oracle evaluated a non-finite mean."""
-
-
 class CapacityError(IrslocError, ValueError):
     """Requested target count exceeds the factorial matching budget."""

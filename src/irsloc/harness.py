@@ -27,7 +27,7 @@ import yaml
 from . import stage2
 from .arrays import Position3, SpatialAnglePair, UpaConfig, check_power, dft_codebook, is_number
 from .channel import SceneGeometry, dbm_to_watts
-from .crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
+from .crb import crb_trace_stage1, fim_stage1, fim_stage2, fim_stage2_case1, fim_stage2_case2
 from .errors import DegenerateGeometryError, InvalidArgumentError, IrslocError
 # construct_location, sample_covariance: unused, but perfbench traces them by name here
 from .localization import MATCHING_BUDGET, construct_location, match_and_localize
@@ -392,18 +392,22 @@ def _unit_bounds(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int, joint_scan
     """The angle CRBs behind attach_crb's CRB_COLUMNS, at unit power and unit noise.
 
     The stage-1 bound takes the DFT codebook probed at 1 W; the stage-2 bound
-    takes the codewords that the first surface's scan sends run noiselessly
-    at unit power (called through its module, so a traced bounds call counts
-    no scan samples), toward target 0.
+    is fim_stage2 of the mode's own echo model over the codewords that the
+    first surface's scan sends run noiselessly at unit power (called through
+    its module, so a traced bounds call counts no scan samples), toward
+    target 0.  Case 1 and case 2 go through fim_stage2_case1/case2, the
+    names a traced bounds call times.
     """
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
     words = stage2.synthesize_stage2(scene, 0, plan, 0.0, 0, stage2_mode, joint=joint_scan).codewords
     s1 = fim_stage1(scene, dft_codebook(scene.n_bs, t1, 1.0), 1.0)
-    if stage2_mode is Stage2Mode.CASE2_APPROX:
-        s2, mu_key, nu_key = fim_stage2_case2(scene, 0, 0, words, 1.0), "mu_i2t", "nu_i2t"
+    if stage2_mode is Stage2Mode.CASE1_APPROX:
+        s2 = fim_stage2_case1(scene, 0, 0, words, 1.0)
+    elif stage2_mode is Stage2Mode.CASE2_APPROX:
+        s2 = fim_stage2_case2(scene, 0, 0, words, 1.0)
     else:
-        s2, mu_key, nu_key = fim_stage2_case1(scene, 0, 0, words, 1.0), "mu", "nu"
-    return s1.crb("mu_b2t"), s1.crb("nu_b2t"), s2.crb(mu_key), s2.crb(nu_key)
+        s2 = fim_stage2(scene, 0, 0, words, 1.0, stage2_mode)
+    return s1.crb("mu_b2t"), s1.crb("nu_b2t"), s2.crb("mu"), s2.crb("nu")
 
 
 def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
@@ -412,7 +416,9 @@ def attach_crb(config: ExperimentConfig, p_bs_dbm: float) -> dict:
     The stage-1 bound takes the Jacobian of the echo mean against the codebook
     actually probed: with fewer samples than antennas the DFT columns are not
     spatially white and the white-input closed form would be optimistic.
-    The stage-2 bound is the first surface's scan toward target 0.  Every
+    The stage-2 bound is the first surface's scan toward target 0, over
+    the surface angles and the gain of each echo term the mode carries, so
+    it is finite in every mode whose scan resolves the target.  Every
     mean is linear in the transmit amplitude, so each bound is
     sqrt(sigma^2/P) times its unit-power, unit-noise value, which is solved
     once per scene and scan (_unit_bounds); a trial's codebook is never used.

@@ -11,8 +11,12 @@ import numpy as np
 from irsloc.arrays import SpatialAnglePair, UpaConfig, upa_response
 from irsloc.channel import SceneGeometry, channel_b2i, channel_bti, channel_iti, check_unit_modulus
 from irsloc.crb import FimResult, _check_codewords, _finalize, fim_stage2_case1
-from irsloc.errors import InvalidArgumentError, OracleFailureError
+from irsloc.errors import InvalidArgumentError, IrslocError
 from irsloc.stage1 import DEFAULT_GRID_RESOLUTION, _axis, _columns, _deficit, _signal_subspace, _tables
+
+
+class OracleFailureError(IrslocError, RuntimeError):
+    """Finite-difference oracle evaluated a non-finite mean."""
 
 
 def fim_finite_difference_oracle(mean_fn: Callable[[np.ndarray], np.ndarray],
@@ -77,20 +81,24 @@ def stage2_case1_mean_builder(geometry: SceneGeometry, irs_index: int,
 def stage2_case2_mean_builder(geometry: SceneGeometry, irs_index: int,
                               irs_codewords: Sequence[np.ndarray],
                               ) -> Callable[[np.ndarray], np.ndarray]:
-    """Mean map over [mu_i2t, nu_i2t, mu_b2t, nu_b2t, Re/Im alpha_tilde]."""
+    """Mean map eta = [mu, nu, Re gamma, Im gamma] -> gamma w_t^T q(mu, nu)."""
     cfg = geometry.irs_upa[irs_index]
     w = _check_codewords(irs_codewords, cfg.n)
-    aoa = geometry.bs_irs_aoa(irs_index)
-    a_irs = upa_response(geometry.bs_irs_aod(irs_index), geometry.bs_upa)
-    bs_cfg = geometry.bs_upa
 
     def mean(params: np.ndarray) -> np.ndarray:
-        mu_it, nu_it, mu_bt, nu_bt, re_a, im_a = params
-        q = upa_response(SpatialAnglePair(aoa.mu + mu_it, aoa.nu + nu_it), cfg)
-        b = complex(np.vdot(a_irs, upa_response(SpatialAnglePair(mu_bt, nu_bt), bs_cfg)))
-        return (re_a + 1j * im_a) * b * (w.T @ q)
+        mu, nu, re_g, im_g = params
+        return (re_g + 1j * im_g) * (w.T @ upa_response(SpatialAnglePair(mu, nu), cfg))
 
     return mean
+
+
+def stage2_full_mean_builder(geometry: SceneGeometry, irs_index: int,
+                             irs_codewords: Sequence[np.ndarray],
+                             ) -> Callable[[np.ndarray], np.ndarray]:
+    """Mean map eta = [mu, nu, Re alpha, Im alpha, Re gamma, Im gamma] -> the sum of both terms."""
+    double = stage2_case1_mean_builder(geometry, irs_index, irs_codewords)
+    single = stage2_case2_mean_builder(geometry, irs_index, irs_codewords)
+    return lambda params: double(params[:4]) + single(np.r_[params[:2], params[4:]])
 
 
 @dataclass

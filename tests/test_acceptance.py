@@ -25,6 +25,7 @@ from irsloc import (
     dft_codebook,
     fim_stage1,
     fim_stage1_white,
+    fim_stage2,
     fim_stage2_case1,
     fim_stage2_case2,
     match_and_localize,
@@ -55,7 +56,7 @@ from irsloc.stage2 import (
 
 from conftest import random_desk_scene
 from oracles import (fim_finite_difference_oracle, repeated_codeword_witness, stage1_mean_builder,
-                     stage2_case1_mean_builder, stage2_case2_mean_builder)
+                     stage2_case1_mean_builder, stage2_case2_mean_builder, stage2_full_mean_builder)
 
 NOISE_VAR = dbm_to_watts(-80.0)
 
@@ -98,7 +99,7 @@ def test_criterion_1_optimal_waveform_diagonality():
 
 
 def test_criterion_2_fim_oracle_equivalence():
-    worst = {"stage1": 0.0, "case1": 0.0, "case2": 0.0}
+    worst = {"stage1": 0.0, "case1": 0.0, "case2": 0.0, "full": 0.0}
     for seed in range(20):
         g = random_desk_scene(seed, max_side=8)
         t1 = 10
@@ -128,15 +129,23 @@ def test_criterion_2_fim_oracle_equivalence():
                              np.linalg.norm(c1.matrix - fd1.matrix) / np.linalg.norm(c1.matrix))
 
         c2 = fim_stage2_case2(g, 0, 0, words, noise, 2.0)
-        alpha_t, _ = case2_amplitude(g, 0, 0, 2.0)
-        it, bt = g.irs_target_doa(0, 0), g.bs_target_doa(0)
-        h_t = max(abs(alpha_t) * 1e-6, 1e-12)
+        alpha_t, b = case2_amplitude(g, 0, 0, 2.0)
+        gamma = alpha_t * b
+        h_g = max(abs(gamma) * 1e-6, 1e-12)
         fd2 = fim_finite_difference_oracle(
             stage2_case2_mean_builder(g, 0, words), noise * g.n_bs,
-            np.array([it.mu, it.nu, bt.mu, bt.nu, alpha_t.real, alpha_t.imag]),
-            h=np.array([1e-5] * 4 + [h_t] * 2))
+            np.array([comp.mu, comp.nu, gamma.real, gamma.imag]),
+            h=np.array([1e-5, 1e-5, h_g, h_g]))
         worst["case2"] = max(worst["case2"],
                              np.linalg.norm(c2.matrix - fd2.matrix) / np.linalg.norm(c2.matrix))
+
+        full = fim_stage2(g, 0, 0, words, noise, Stage2Mode.FULL_ECHO, 2.0)
+        fd3 = fim_finite_difference_oracle(
+            stage2_full_mean_builder(g, 0, words), noise * g.n_bs,
+            np.array([comp.mu, comp.nu, alpha.real, alpha.imag, gamma.real, gamma.imag]),
+            h=np.array([1e-5, 1e-5, h_a, h_a, h_g, h_g]))
+        worst["full"] = max(worst["full"],
+                            np.linalg.norm(full.matrix - fd3.matrix) / np.linalg.norm(full.matrix))
     for key, value in worst.items():
         assert value <= 1e-4, (key, value)
     report(2, f"closed-form FIMs match the finite-difference oracle, worst {max(worst.values()):.2e}")

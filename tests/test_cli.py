@@ -1,5 +1,9 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from irsloc import (
     ExperimentConfig,
@@ -119,6 +123,26 @@ def test_crb_subcommand_noiseless_writes_zero_bounds(tmp_path):
     assert main(["crb", cfg, "--out", str(out)]) == 0
     header, row = (line.split(",") for line in out.read_text().splitlines())
     assert all(float(v) == 0.0 for k, v in zip(header, row) if k != "p_bs_dbm")
+
+
+@pytest.mark.parametrize("shipped", ["single_target.yaml", "multi_target.yaml"])
+def test_case2_bounds_are_finite_in_crb_and_fig7(tmp_path, shipped):
+    # the single-bounce bound is taken over the surface angles and gamma = alpha_tilde b,
+    # which the scan identifies, so it is finite at every power
+    raw = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / shipped).read_text())
+    cfg = tmp_path / "case2.yaml"
+    cfg.write_text(yaml.safe_dump({**raw, "stage2_mode": "case2", "output_path": None}))
+    crb, fig7 = tmp_path / "crb.csv", tmp_path / "fig7.csv"
+    with pytest.warns(UserWarning, match="spatially white"):  # t1 < N_BS
+        assert main(["crb", str(cfg), "--out", str(crb)]) == 0
+        assert main(["run", str(cfg), "--figure", "fig7", "--trials", "1", "--out", str(fig7)]) == 0
+    for out in (crb, fig7):
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["p_bs_dbm"]) for r in rows] == raw["p_bs_dbm_sweep"]
+        for r in rows:
+            for key in ("sqrt_crb_mu_irs", "sqrt_crb_nu_irs"):
+                assert np.isfinite(float(r[key])) and float(r[key]) > 0, (out.name, key, r)
 
 
 def test_validate_subcommand_passes_noiseless(tmp_path, capsys):

@@ -9,6 +9,7 @@ from irsloc import (
     dft_codebook,
     fim_stage1,
     fim_stage1_white,
+    fim_stage2,
     fim_stage2_case1,
     fim_stage2_case2,
     UpaConfig,
@@ -16,7 +17,7 @@ from irsloc import (
     upa_response_derivatives,
 )
 from irsloc.channel import PathKind, path_gain
-from irsloc.errors import InvalidArgumentError, OracleFailureError
+from irsloc.errors import InvalidArgumentError
 from irsloc.stage2 import (
     KroneckerCodewords,
     Stage2Mode,
@@ -31,8 +32,16 @@ from irsloc.stage2 import (
 )
 
 from conftest import random_desk_scene
-from oracles import (fim_finite_difference_oracle, repeated_codeword_witness, stage1_mean_builder,
-                     stage2_case1_mean_builder, stage2_case2_mean_builder)
+from oracles import (OracleFailureError, fim_finite_difference_oracle, repeated_codeword_witness,
+                     stage1_mean_builder, stage2_case1_mean_builder, stage2_case2_mean_builder)
+
+
+def fim_stage2_full(geometry, irs_index, target_index, irs_codewords, noise_var, p_bs_watts=1.0):
+    return fim_stage2(geometry, irs_index, target_index, irs_codewords, noise_var,
+                      Stage2Mode.FULL_ECHO, p_bs_watts)
+
+
+STAGE2_FIMS = [fim_stage2_case1, fim_stage2_case2, fim_stage2_full]
 
 
 def white_cov(n, p):
@@ -85,15 +94,14 @@ def test_fim_scales_linearly_with_power():
     f10 = fim_stage1(g, white_probing(g.n_bs, 10.0, t1), noise)
     assert np.allclose(f10.crb_diag, f1.crb_diag / 10.0, rtol=1e-9)
     # stage 2: the gain parameters carry the amplitude, so F(10 P) = S F(P) S with
-    # S = sqrt(10) on the angles and 1 on the gains; the single-bounce FIM is singular
-    # at every power (its BS angles enter only through b, a complex scale like the gain)
+    # S = sqrt(10) on the two angles and 1 on the gains of every echo term the mode keeps
     words = joint_codewords(build_scan_plan(g.irs_upa[0], 5, 5))
-    for fim, n_angles, singular in ((fim_stage2_case1, 2, False), (fim_stage2_case2, 4, True)):
+    for fim, n_gains in zip(STAGE2_FIMS, (2, 2, 4)):
         f1, f10 = (fim(g, 0, 0, words, noise, p) for p in (1.0, 10.0))
-        scale = np.r_[np.full(n_angles, np.sqrt(10.0)), 1.0, 1.0]
+        scale = np.r_[np.sqrt(10.0), np.sqrt(10.0), np.ones(n_gains)]
         assert np.allclose(f10.matrix, scale[:, None] * f1.matrix * scale, rtol=1e-9, atol=0)
-        assert f1.singular == f10.singular == singular
-        assert np.allclose(f10.crb_diag[:n_angles], f1.crb_diag[:n_angles] / 10.0, rtol=1e-9)
+        assert not f1.singular and not f10.singular
+        assert np.allclose(f10.crb_diag[:2], f1.crb_diag[:2] / 10.0, rtol=1e-9)
 
 
 def test_diagonal_fim_trace_is_sum_of_reciprocals():
@@ -216,14 +224,14 @@ def test_stage2_case2_fim_matches_fd_oracle():
         words = random_codewords(g.n_irs(0), 6, seed)
         noise, p = 0.5, 2.0
         closed = fim_stage2_case2(g, 0, 0, words, noise, p)
-        alpha_t, _ = case2_amplitude(g, 0, 0, p)
-        it = g.irs_target_doa(0, 0)
-        bt = g.bs_target_doa(0)
-        scale = max(abs(alpha_t) * 1e-6, 1e-12)
+        alpha_t, b = case2_amplitude(g, 0, 0, p)
+        gamma = alpha_t * b
+        comp = composite_angle(g, 0, 0)
+        scale = max(abs(gamma) * 1e-6, 1e-12)
         fd = fim_finite_difference_oracle(
             stage2_case2_mean_builder(g, 0, words), noise * g.n_bs,
-            np.array([it.mu, it.nu, bt.mu, bt.nu, alpha_t.real, alpha_t.imag]),
-            h=np.array([1e-5] * 4 + [scale] * 2))
+            np.array([comp.mu, comp.nu, gamma.real, gamma.imag]),
+            h=np.array([1e-5, 1e-5, scale, scale]))
         rel = np.linalg.norm(closed.matrix - fd.matrix) / np.linalg.norm(closed.matrix)
         assert rel < 1e-4
 
@@ -327,9 +335,7 @@ def test_every_fim_is_positive_semidefinite():
         w = random_probing(g.n_bs, 8, seed)
         f1 = fim_stage1(g, w, 0.5)
         words = random_codewords(g.n_irs(0), 5, seed)
-        f2 = fim_stage2_case1(g, 0, 0, words, 0.5, 1.0)
-        f3 = fim_stage2_case2(g, 0, 0, words, 0.5, 1.0)
-        for f in (f1, f2, f3):
+        for f in (f1, *(fim(g, 0, 0, words, 0.5, 1.0) for fim in STAGE2_FIMS)):
             eigvals = np.linalg.eigvalsh(f.matrix)
             assert eigvals[0] >= -1e-8 * max(eigvals[-1], 0.0)
 
@@ -374,7 +380,7 @@ SCANS = {"joint": (joint_codewords, dense_joint_codewords),
                         dense_sequential_codewords)}
 
 
-@pytest.mark.parametrize("fim", [fim_stage2_case1, fim_stage2_case2])
+@pytest.mark.parametrize("fim", STAGE2_FIMS)
 @pytest.mark.parametrize("scan", sorted(SCANS))
 @pytest.mark.parametrize("surface, beams", [
     ((30, 30), (60, 60)),  # the flagship surface and scan
@@ -398,7 +404,7 @@ def test_factored_stage2_fim_matches_dense_codewords(single_scene, fim, scan, su
                                rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("fim", [fim_stage2_case1, fim_stage2_case2])
+@pytest.mark.parametrize("fim", STAGE2_FIMS)
 @pytest.mark.parametrize("axis", ["y", "z"])
 def test_factored_codewords_keep_the_unit_modulus_check(single_scene, fim, axis):
     plan = build_scan_plan(single_scene.irs_upa[0], 5, 5)

@@ -38,11 +38,12 @@ from irsloc.harness import (
 )
 from irsloc.arrays import _dft_table, dft_codebook
 from irsloc.channel import dbm_to_watts
-from irsloc.crb import crb_trace_stage1, fim_stage1, fim_stage2_case1, fim_stage2_case2
+from irsloc.crb import crb_trace_stage1, fim_stage1, fim_stage2
 from irsloc.localization import DoAPairObservation, construct_location
 from irsloc.stage1 import SEARCH_BATCH, _steering_table, stage1_echo
 from irsloc.stage2 import (
     KroneckerCodewords,
+    Stage2Mode,
     _scan_plan,
     beam_gains,
     build_scan_plan,
@@ -443,13 +444,12 @@ def fim_bounds(cfg, p_watts, noise_var, scale=1.0):
     """attach_crb's columns from the public FIMs at p_watts and noise_var, for the codebooks
     a run sends, each variance times scale."""
     s1 = fim_stage1(cfg.scene, dft_codebook(cfg.scene.n_bs, cfg.t1, p_watts), noise_var)
-    fim, keys = ((fim_stage2_case2, ("mu_i2t", "nu_i2t")) if cfg.stage2_mode.value == "case2"
-                 else (fim_stage2_case1, ("mu", "nu")))
-    s2 = fim(cfg.scene, 0, 0, sent_codewords(cfg, p_watts), noise_var, p_watts)
+    s2 = fim_stage2(cfg.scene, 0, 0, sent_codewords(cfg, p_watts), noise_var, cfg.stage2_mode,
+                    p_watts)
     return {"sqrt_crb_mu_b2t": float(np.sqrt(scale * s1.crb("mu_b2t"))),
             "sqrt_crb_nu_b2t": float(np.sqrt(scale * s1.crb("nu_b2t"))),
-            "sqrt_crb_mu_irs": float(np.sqrt(scale * s2.crb(keys[0]))),
-            "sqrt_crb_nu_irs": float(np.sqrt(scale * s2.crb(keys[1])))}
+            "sqrt_crb_mu_irs": float(np.sqrt(scale * s2.crb("mu"))),
+            "sqrt_crb_nu_irs": float(np.sqrt(scale * s2.crb("nu")))}
 
 
 def public_bounds(cfg, p_dbm):
@@ -485,8 +485,8 @@ def test_sequential_bound_holds_the_sent_y_beam(mode, t2, joint):
 
 def test_bounds_scale_exactly_with_power():
     # each sqrt(CRB) is sqrt(sigma^2/P) times one unit-power value, so no power point
-    # re-inverts an ill-conditioned FIM with its own rounding; a singular FIM (the
-    # case-2 model's) reads +inf at every power
+    # re-inverts an ill-conditioned FIM with its own rounding; a singular FIM would
+    # read +inf at every power
     shipped = [ExperimentConfig.from_yaml(str(CONFIGS / name))
                for name in ("single_target.yaml", "multi_target.yaml")]
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
@@ -510,7 +510,7 @@ def test_bounds_scale_exactly_with_power():
 def test_sequential_bound_holds_the_y_beam_a_full_echo_scan_sends():
     # here the y sweep's full echo (double plus single bounce) peaks at y beam 9, where
     # the double-bounce gain |g_y| alone peaks at beam 2; the scan holds beam 9, and
-    # so must the bound
+    # so must the bound, which is the full echo's own FIM
     base = ExperimentConfig.from_yaml(str(CONFIGS / "single_target.yaml"))
     scene = replace(base.scene, targets=[Position3(-8.775133, -11.971208, -0.966360)])
     cfg = replace(base, scene=scene, t2_y=10, t2_z=10, stage2_mode="full")
@@ -521,7 +521,8 @@ def test_sequential_bound_holds_the_y_beam_a_full_echo_scan_sends():
     p_watts = dbm_to_watts(40.0)
     sent = sent_codewords(cfg, p_watts)
     assert set(sent.y_idx[plan.t2_y:].tolist()) == {9}
-    want = fim_stage2_case1(scene, 0, 0, sent, cfg.noise_var, p_watts)
+    want = fim_stage2(scene, 0, 0, sent, cfg.noise_var, Stage2Mode.FULL_ECHO, p_watts)
+    assert want.parameter_labels == ["mu", "nu", "re_alpha", "im_alpha", "re_gamma", "im_gamma"]
     with warnings.catch_warnings():  # t1 < N_BS: non-white probing
         warnings.simplefilter("ignore")
         bounds = attach_crb(cfg, 40.0)

@@ -100,10 +100,11 @@ def _feed(h, value) -> None:
         h.update(f"{type(value).__name__} {value!r}\n".encode())
 
 
-def _feed_row(h, row: dict, bounds: list) -> None:
+def _feed_row(h, row: dict, bounds: list, columns: list) -> None:
     for key in sorted(row):
         if key.startswith("sqrt_crb_"):
             bounds.append(row[key])
+            columns.append(key)
         else:
             _feed(h, key)
             _feed(h, row[key])
@@ -116,8 +117,8 @@ def _feed_record(h, record: TrialRecord) -> None:
             _feed(h, getattr(record, f.name))
 
 
-def crb_table(path: str, overrides: dict) -> list[float]:
-    """Every value of the `irsloc crb` table of one matrix config, row by row."""
+def crb_table(path: str, overrides: dict) -> list[tuple[str, float]]:
+    """Every (column, value) of the `irsloc crb` table of one matrix config, row by row."""
     raw = {**yaml.safe_load((ROOT / path).read_text()), **overrides, "output_path": None}
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.yaml", Path(tmp) / "crb.csv"
@@ -127,14 +128,16 @@ def crb_table(path: str, overrides: dict) -> list[float]:
         if status != 0:
             raise SystemExit(f"irsloc crb failed on {path} with {overrides}")
         with open(out, newline="") as fh:
-            return [float(v) for row in csv.DictReader(fh) for _, v in sorted(row.items())]
+            return [(k, float(v)) for row in csv.DictReader(fh) for k, v in sorted(row.items())]
 
 
-def digest() -> tuple[str, dict[str, list[float]]]:
-    """The sha256 hex digest over the matrix, and the bound columns per run."""
+def digest() -> tuple[str, dict[str, list[float]], dict[str, list[str]]]:
+    """The sha256 hex digest over the matrix, the bound values per run, and the column of each."""
     h = hashlib.sha256()
-    bounds = {f"{name} irsloc crb": crb_table(path, overrides)
-              for name, (path, overrides) in MATRIX.items()}
+    bounds, columns = {}, {}
+    for name, (path, overrides) in MATRIX.items():
+        columns[f"{name} irsloc crb"], bounds[f"{name} irsloc crb"] = map(
+            list, zip(*crb_table(path, overrides)))
     for seed in SEEDS:
         for name, (path, overrides) in MATRIX.items():
             records: list[TrialRecord] = []
@@ -142,19 +145,21 @@ def digest() -> tuple[str, dict[str, list[float]]]:
             rows = run_experiment(cfg, records)
             _feed(h, f"{name} {seed}")
             run_bounds = bounds.setdefault(f"{name} {seed}", [])
+            run_columns = columns.setdefault(f"{name} {seed}", [])
             for row in rows:
-                _feed_row(h, row, run_bounds)
+                _feed_row(h, row, run_bounds, run_columns)
             for record in records:
                 _feed_record(h, record)
-            bounds[f"{name} {seed} standalone"] = [
-                v for p in cfg.p_bs_dbm_sweep for _, v in sorted(attach_crb(cfg, p).items())]
+            standalone = [kv for p in cfg.p_bs_dbm_sweep for kv in sorted(attach_crb(cfg, p).items())]
+            columns[f"{name} {seed} standalone"] = [k for k, _ in standalone]
+            bounds[f"{name} {seed} standalone"] = [v for _, v in standalone]
         for name, rows in (
                 ("t2_sweep", run_t2_sweep(_config(SINGLE, seed), T2_VALUES, SWEEP_DBM)),
                 ("area_sweep", run_area_sweep(_config(SINGLE, seed), *AREA_CELLS, SWEEP_DBM))):
             _feed(h, f"{name} {seed}")
             for row in rows:
-                _feed_row(h, row, [])
-    return h.hexdigest(), bounds
+                _feed_row(h, row, [], [])
+    return h.hexdigest(), bounds, columns
 
 
 def bound_gaps(bounds: dict[str, list[float]],
@@ -187,12 +192,24 @@ def worst_bound_gap(bounds: dict[str, list[float]],
     return worst
 
 
-def over_tolerance(gaps: dict[str, np.ndarray]) -> str:
-    """How many entries exceed BOUNDS_RTOL, in all and per run key that has any."""
-    over = {k: int(np.sum(g > BOUNDS_RTOL)) for k, g in gaps.items()}
-    lines = [f"bounds past {BOUNDS_RTOL:g}: {sum(over.values())} of "
+def over_tolerance(gaps: dict[str, np.ndarray], columns: dict[str, list[str]] | None = None) -> str:
+    """How many entries exceed BOUNDS_RTOL, in all and per run key that has any.
+
+    With the column of every entry (digest's third value), a run key's count
+    is split by column, in the order the columns first appear.
+    """
+    over = {k: g > BOUNDS_RTOL for k, g in gaps.items()}
+    lines = [f"bounds past {BOUNDS_RTOL:g}: {sum(int(o.sum()) for o in over.values())} of "
              f"{sum(g.size for g in gaps.values())} entries"]
-    lines += [f"  {k!r}: {n}" for k, n in over.items() if n]
+    for key, past in over.items():
+        if not past.any():
+            continue
+        if columns is None:
+            lines.append(f"  {key!r}: {int(past.sum())}")
+            continue
+        names = np.array(columns[key])[past]
+        counts = {name: int(np.sum(names == name)) for name in dict.fromkeys(names)}
+        lines.append(f"  {key!r}: " + ", ".join(f"{n} {c}" for n, c in counts.items()))
     return "\n".join(lines)
 
 
@@ -204,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():  # the configs' expected warnings, e.g. non-white probing
         warnings.simplefilter("ignore")
-        hexdigest, bounds = digest()
+        hexdigest, bounds, columns = digest()
     print(f"rows+records sha256 {hexdigest}")
     if args.save_bounds:
         Path(args.save_bounds).write_text(json.dumps(bounds))
@@ -213,7 +230,7 @@ def main(argv=None) -> int:
         gap, key, index = worst_bound_gap(bounds, saved)
         print(f"bounds worst relative gap {gap:.3g} at {key!r} entry {index} "
               f"({'ok' if gap <= BOUNDS_RTOL else 'FAIL'})")
-        print(over_tolerance(bound_gaps(bounds, saved)))
+        print(over_tolerance(bound_gaps(bounds, saved), columns))
         return 0 if gap <= BOUNDS_RTOL else 1
     return 0
 
