@@ -396,7 +396,8 @@ def _unit_bounds(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int, joint_scan
     first surface's scan sends run noiselessly at unit power (called through
     its module, so a traced bounds call counts no scan samples), toward
     target 0.  Case 1 and case 2 go through fim_stage2_case1/case2, the
-    names a traced bounds call times.
+    names a traced bounds call times; full mode calls fim_stage2, which no
+    trace site covers, so its bounds are not traced.
     """
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
     words = stage2.synthesize_stage2(scene, 0, plan, 0.0, 0, stage2_mode, joint=joint_scan).codewords

@@ -255,40 +255,32 @@ def _search_grid(signal: list[np.ndarray], cfg: UpaConfig, grid_resolution: floa
     resolution's steering tables.
     """
     table_y, table_z = _tables(cfg, grid_resolution)
-    n_axis = table_y.shape[0]
     n_blocks = len(signal[0])
     picks: list = [None] * n_blocks
     stride = _coarse_stride(grid_resolution, cfg.n_y, cfg.n_z)
     if stride >= MIN_COARSE_STRIDE:
         coarse, coarse_y, coarse_z = _coarse_grid(grid_resolution, cfg.n_y, cfg.n_z)
         coarse_spectrum = 1.0 / _deficit(signal, coarse_y, coarse_z)
-        # each block's strongest coarse maxima, ties toward the lowest (i, j): top_peaks_2d's
-        # rule without suppression, for every block in one sort
-        block, i, j = np.nonzero(local_maxima_2d(coarse_spectrum))
-        order = np.lexsort((j, i, -coarse_spectrum[block, i, j], block))
-        block, i, j = block[order], i[order], j[order]
-        top = np.arange(len(block)) - np.searchsorted(block, block) < k + EXTRA_COARSE_CANDIDATES
         zoomed = np.zeros(coarse_spectrum.shape, dtype=bool)
-        zoomed[block[top], i[top], j[top]] = True
+        for b, spectrum in enumerate(coarse_spectrum):
+            zoomed[b][tuple(np.array(top_peaks_2d(spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
         windows = np.argwhere(zoomed)  # (block, i, j), block by block
         found = _zoom(signal, windows[:, 0], table_y, table_z, coarse[windows[:, 1:]], stride)
-        keys = [np.empty(0, dtype=int)] * n_blocks  # node (i, j) as i * n_axis + j, ascending
+        nodes = [np.empty((0, 2), dtype=int)] * n_blocks
         values = [np.empty(0)] * n_blocks
         zooming = range(n_blocks)
         while True:
-            owner, found_keys, found_values = found[0], found[1] @ [n_axis, 1], found[2]
-            ends = zip(np.searchsorted(owner, zooming), np.searchsorted(owner, zooming, "right"))
             more_windows = []
-            for b, (lo, hi) in zip(zooming, ends):  # found is block by block
-                keys[b], first = np.unique(np.concatenate([keys[b], found_keys[lo:hi]]),
-                                           return_index=True)  # zooms may overlap
-                values[b] = np.concatenate([values[b], found_values[lo:hi]])[first]
-                peaks = strongest_separated(np.stack(np.divmod(keys[b], n_axis), axis=1),
-                                            values[b], k, PEAK_SUPPRESSION_RADIUS)
+            for b in zooming:
+                mine = found[0] == b
+                nodes[b], first = np.unique(np.concatenate([nodes[b], found[1][mine]]),
+                                            axis=0, return_index=True)  # zooms may overlap
+                values[b] = np.concatenate([values[b], found[2][mine]])[first]
+                peaks = strongest_separated(nodes[b], values[b], k, PEAK_SUPPRESSION_RADIUS)
                 if len(peaks) < k:
                     continue
-                at = np.searchsorted(keys[b], [i * n_axis + j for i, j in peaks])
-                picked = [(i, j, float(v)) for (i, j), v in zip(peaks, values[b][at])]
+                lookup = {(int(i), int(j)): float(v) for (i, j), v in zip(nodes[b], values[b])}
+                picked = [(i, j, lookup[i, j]) for i, j in peaks]
                 more = (coarse_spectrum[b] >= (1.0 - ZOOM_MARGIN) * picked[-1][2]) & ~zoomed[b]
                 if not more.any():
                     picks[b] = picked

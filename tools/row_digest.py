@@ -44,6 +44,7 @@ import math
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -192,11 +193,11 @@ def worst_bound_gap(bounds: dict[str, list[float]],
     return worst
 
 
-def over_tolerance(gaps: dict[str, np.ndarray], columns: dict[str, list[str]] | None = None) -> str:
+def over_tolerance(gaps: dict[str, np.ndarray], columns: dict[str, list[str]]) -> str:
     """How many entries exceed BOUNDS_RTOL, in all and per run key that has any.
 
-    With the column of every entry (digest's third value), a run key's count
-    is split by column, in the order the columns first appear.
+    A run key's count is split by the column of each entry (digest's third
+    value), in the order the columns first appear.
     """
     over = {k: g > BOUNDS_RTOL for k, g in gaps.items()}
     lines = [f"bounds past {BOUNDS_RTOL:g}: {sum(int(o.sum()) for o in over.values())} of "
@@ -204,11 +205,7 @@ def over_tolerance(gaps: dict[str, np.ndarray], columns: dict[str, list[str]] | 
     for key, past in over.items():
         if not past.any():
             continue
-        if columns is None:
-            lines.append(f"  {key!r}: {int(past.sum())}")
-            continue
-        names = np.array(columns[key])[past]
-        counts = {name: int(np.sum(names == name)) for name in dict.fromkeys(names)}
+        counts = Counter(np.array(columns[key])[past])
         lines.append(f"  {key!r}: " + ", ".join(f"{n} {c}" for n, c in counts.items()))
     return "\n".join(lines)
 
