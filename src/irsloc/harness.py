@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise InvalidArgumentError("power sweep must be non-empty")
         if not np.all(np.isfinite(self.p_bs_dbm_sweep)):
             raise InvalidArgumentError(f"power sweep {self.p_bs_dbm_sweep} must be finite")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise InvalidArgumentError(f"output_path {self.output_path!r} must be a path string")
         if not self.noise_dbm < np.inf:  # NaN or +inf; -inf is the noiseless limit
             raise InvalidArgumentError(f"noise_dbm {self.noise_dbm} must be below +inf")
         if self.t1 < 1 or self.t2_y < 1 or self.t2_z < 1:
@@ -324,8 +326,7 @@ def _amplitude(p_bs_dbm: float) -> float:
 
 def _stage1_samples(config: ExperimentConfig, echo: np.ndarray, seed: int) -> np.ndarray:
     """A trial's noisy stage-1 snapshots: its seeded noise added into echo, which it consumes."""
-    return synthesize_stage1(config.scene, None, config.noise_var, _stage_seed(seed, 0),
-                             echo=echo)
+    return synthesize_stage1(echo, config.noise_var, _stage_seed(seed, 0))
 
 
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
@@ -347,7 +348,6 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     amplitude = _amplitude(p_bs_dbm)
     k = config.n_targets
     m = len(scene.irs)
-    noise_var = config.noise_var
     start = time.perf_counter()
 
     record = TrialRecord(
@@ -368,8 +368,8 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
 
         est_irs: list[list[SpatialAnglePair]] = []
         for i, plan in enumerate(plans):
-            obs = synthesize_stage2(scene, i, plan, noise_var, _stage_seed(seed, 1 + i),
-                                    joint=config.joint_scan, model=amplitude * models[i])
+            obs = synthesize_stage2(scene, plan, amplitude * models[i], config.noise_var,
+                                    _stage_seed(seed, 1 + i), config.joint_scan)
             est_irs.append(scan_estimate(obs, plan, scene.bs_irs_aoa(i), k))
         record.est_irs_doas = np.array([_align(true_irs[i], _angles_to_array(est_irs[i]))
                                         for i in range(m)])
@@ -393,14 +393,17 @@ def _unit_bounds(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int, joint_scan
 
     The stage-1 bound takes the DFT codebook probed at 1 W; the stage-2 bound
     is fim_stage2 of the mode's own echo model over the codewords that the
-    first surface's scan sends run noiselessly at unit power (called through
-    its module, so a traced bounds call counts no scan samples), toward
-    target 0.  Case 1 and case 2 go through fim_stage2_case1/case2, the
-    names a traced bounds call times; full mode calls fim_stage2, which no
-    trace site covers, so its bounds are not traced.
+    first surface's scan sends when its unit-power model is scanned
+    noiselessly, toward target 0.  Both are looked up on the stage-2 module,
+    so a traced bounds call counts no scan samples and the harness's own
+    names count only trial-data builds.  Case 1 and case 2 go through
+    fim_stage2_case1/case2, the names a traced bounds call times; full mode
+    calls fim_stage2, which no trace site covers, so its bounds are not
+    traced.
     """
     plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
-    words = stage2.synthesize_stage2(scene, 0, plan, 0.0, 0, stage2_mode, joint=joint_scan).codewords
+    model = stage2.stage2_model(scene, 0, plan, stage2_mode, 1.0)
+    words = stage2.synthesize_stage2(scene, plan, model, 0.0, 0, joint_scan).codewords
     s1 = fim_stage1(scene, dft_codebook(scene.n_bs, t1, 1.0), 1.0)
     if stage2_mode is Stage2Mode.CASE1_APPROX:
         s2 = fim_stage2_case1(scene, 0, 0, words, 1.0)

@@ -70,23 +70,18 @@ def stage1_echo(geometry: SceneGeometry, probing: np.ndarray) -> np.ndarray:
     return y
 
 
-def synthesize_stage1(geometry: SceneGeometry, probing: np.ndarray | None,
-                      noise_var: float, seed: int, *,
-                      echo: np.ndarray | None = None) -> np.ndarray:
-    """Y = (sum_k H_BTB,k) W + N, (N_BS, T1), with i.i.d. circular complex Gaussian noise.
+def synthesize_stage1(echo: np.ndarray, noise_var: float, seed: int) -> np.ndarray:
+    """Y = (sum_k H_BTB,k) W + N, (N_BS, T1), with i.i.d. CN(0, noise_var) entries in N.
 
-    echo is stage1_echo(geometry, probing), built here unless the caller
-    passes one (probing may then be None).  The noise is added into the echo
-    and the result is Y, so a passed echo must be the caller's own array:
-    the echo is linear in the probing amplitude, so a caller keeps the
-    unit-power echo and passes sqrt(P) times it, a new array.  Per-entry
-    noise variance is noise_var (real/imag each noise_var/2); deterministic
-    under the seed.
+    echo is the noiseless stage1_echo at the transmitted power, and Y is echo
+    itself with the seeded noise added, so it must be a writable array of the
+    caller's own: a caller keeps the unit-power echo and passes sqrt(P) times it.
     """
-    y = stage1_echo(geometry, probing) if echo is None else echo
+    if not (isinstance(echo, np.ndarray) and echo.ndim == 2 and echo.flags.writeable):
+        raise InvalidArgumentError("echo must be a writable (N_BS, T1) array")
     if noise_var > 0:
-        y = add_circular_noise(y, noise_var, np.random.default_rng(seed))
-    return y
+        echo = add_circular_noise(echo, noise_var, np.random.default_rng(seed))
+    return echo
 
 
 def sample_covariance(y: np.ndarray) -> np.ndarray:

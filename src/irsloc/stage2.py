@@ -201,7 +201,8 @@ def stage2_model(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
     alpha_tilde b q (the two single bounces, case 2), with q = g_y g_z the
     separable cascade scalar, so each term is an outer product of a y and a
     z beam-gain vector.  The full echo is exactly the sum of both terms; each
-    approximation keeps one.
+    approximation keeps one.  The BS beam is sqrt(P/N_BS) a*(arrival
+    direction of the surface).
     """
     cfg = geometry.irs_upa[irs_index]
     out = np.zeros((plan.t2_y, plan.t2_z), dtype=complex)
@@ -217,28 +218,23 @@ def stage2_model(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
     return out
 
 
-def synthesize_stage2(geometry: SceneGeometry, irs_index: int, plan: IrsScanPlan,
-                      noise_var: float, seed: int,
-                      mode: Stage2Mode = Stage2Mode.CASE1_APPROX,
-                      p_bs_watts: float = 1.0, joint: bool = False, *,
-                      model: np.ndarray | None = None) -> ScanObservation:
+def synthesize_stage2(geometry: SceneGeometry, plan: IrsScanPlan, model: np.ndarray,
+                      noise_var: float, seed: int, joint: bool = False) -> ScanObservation:
     """Matched-filter samples for a scan: the joint grid (t2_y * t2_z) or two sweeps (t2_y + t2_z).
 
     The scan runs sweep by sweep and returns the codewords it sends:
     joint_codewords, or sequential_codewords whose z sweep holds the y-sweep
-    peak.  Sample t reads model[y_idx[t], z_idx[t]] off the noiseless beam
-    grid stage2_model(geometry, irs_index, plan, mode, p_bs_watts), built
-    here unless the caller passes one; model is never written.  Every term
-    is linear in sqrt(p_bs_watts), so a caller keeps the unit-power grid and
-    passes sqrt(P) times it.  The BS beam is sqrt(P/N_BS) a*(arrival
-    direction of the surface).
+    peak.  Sample t reads model[y_idx[t], z_idx[t]] off the plan's noiseless
+    beam grid at the transmitted power (a caller keeps the unit-power
+    stage2_model and passes sqrt(P) times it); model is never written.
     Per-antenna noise n_t ~ CN(0, sigma^2 I) reaches the estimator only as
     a^H n_t, which is CN(0, N_BS sigma^2) since ||a||^2 = N_BS; every mode
     draws that scalar directly, all real parts of a sweep and then all
     imaginary parts, so the modes differ only in their signal model.
     """
-    if model is None:
-        model = stage2_model(geometry, irs_index, plan, mode, p_bs_watts)
+    if np.shape(model) != (plan.t2_y, plan.t2_z):
+        raise InvalidArgumentError(
+            f"model must be the plan's ({plan.t2_y}, {plan.t2_z}) beam grid, got {np.shape(model)}")
     rng = np.random.default_rng(seed)
 
     def sweep(words, samples):  # always a new array, so an observation never aliases model

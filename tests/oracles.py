@@ -133,6 +133,14 @@ def repeated_codeword_witness(geometry: SceneGeometry, irs_index: int, target_in
     )
 
 
+def correlation_eig_ratio(matrix: np.ndarray) -> float:
+    """Smallest over largest eigenvalue of the correlation-normalized FIM, the spectrum on which
+    crb._finalize judges singularity; rounding leaves it near +-1e-16 on a singular FIM."""
+    d = 1.0 / np.sqrt(np.diag(matrix))
+    eigs = np.linalg.eigvalsh(d[:, None] * matrix * d[None, :])
+    return float(eigs[0] / eigs[-1])
+
+
 def stage2_effective_channel(geometry: SceneGeometry, irs_index: int, target_index: int,
                              theta: np.ndarray) -> np.ndarray:
     """Reflected three-term channel seen at the BS after direct-link removal.

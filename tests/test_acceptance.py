@@ -35,6 +35,8 @@ from irsloc import (
     sample_covariance,
     scan_estimate,
     spatial_doa,
+    stage1_echo,
+    stage2_model,
     steering_derivative,
     steering_vector,
     synthesize_stage1,
@@ -44,6 +46,7 @@ from irsloc import (
     upa_response_derivatives,
 )
 from irsloc.channel import PathKind, path_gain
+from irsloc.crb import SINGULARITY_EIG_RATIO
 from irsloc.localization import DoAPairObservation
 from irsloc.stage2 import (
     Regime,
@@ -55,8 +58,9 @@ from irsloc.stage2 import (
 )
 
 from conftest import random_desk_scene
-from oracles import (fim_finite_difference_oracle, repeated_codeword_witness, stage1_mean_builder,
-                     stage2_case1_mean_builder, stage2_case2_mean_builder, stage2_full_mean_builder)
+from oracles import (correlation_eig_ratio, fim_finite_difference_oracle, repeated_codeword_witness,
+                     stage1_mean_builder, stage2_case1_mean_builder, stage2_case2_mean_builder,
+                     stage2_full_mean_builder)
 
 NOISE_VAR = dbm_to_watts(-80.0)
 
@@ -167,13 +171,13 @@ def test_criterion_3_single_beam_singularity():
     multi = fim_stage2_case1(g, 0, 0, sequential_codewords(plan, (plan.t2_y - 1) // 2),
                              NOISE_VAR, 1.0)
     assert not multi.singular and np.isfinite(multi.crb("mu"))
-    try:
-        pseudo = abs(np.linalg.inv(repeated.matrix)[0, 0])
-    except np.linalg.LinAlgError:
-        pseudo = np.inf
-    ratio = pseudo / multi.crb("mu")
-    assert ratio >= 1e8
-    report(3, f"one beam is blind (det ~ 0, CRB inf); three beams cut CRB by {ratio:.1e}x")
+    # the eigenvalue ratio of a singular FIM is rounding (|r| ~ 1e-16); this scene's three-beam
+    # FIM is itself ill-conditioned (r ~ 2e-8), so it is held against the singularity threshold
+    blind, seen = correlation_eig_ratio(repeated.matrix), correlation_eig_ratio(multi.matrix)
+    assert blind < SINGULARITY_EIG_RATIO
+    assert seen >= 1e4 * SINGULARITY_EIG_RATIO
+    report(3, f"one beam is blind (det ~ 0, CRB inf, eigenvalue ratio {blind:.1e}); "
+              f"three beams lift the ratio to {seen:.1e}")
 
 
 def test_criterion_4_reflected_link_power_identities():
@@ -250,7 +254,7 @@ def test_criterion_6_three_target_doa_reproduction():
     listed_irs = [(0.6917, -0.2075), (0.5547, -0.8321), (0.5472, -0.1642)]
 
     probing = dft_codebook(g.n_bs, t1, p)
-    block = synthesize_stage1(g, probing, NOISE_VAR, trial_seed(61, 0, 0))
+    block = synthesize_stage1(stage1_echo(g, probing), NOISE_VAR, trial_seed(61, 0, 0))
     music = music_estimate(sample_covariance(block), g.bs_upa, 3, 2e-3, refine_levels=1)
     music_step = 2e-3
     for mu, nu in listed_bs:
@@ -260,8 +264,8 @@ def test_criterion_6_three_target_doa_reproduction():
         assert abs(match.nu - nu) <= music_step + 1e-4, (mu, nu, best)
 
     plan = build_scan_plan(g.irs_upa[0], 30, 30)
-    obs = synthesize_stage2(g, 0, plan, NOISE_VAR, trial_seed(61, 1, 0),
-                            Stage2Mode.CASE1_APPROX, p, joint=True)
+    obs = synthesize_stage2(g, plan, stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, p),
+                            NOISE_VAR, trial_seed(61, 1, 0), joint=True)
     scans = scan_estimate(obs, plan, g.bs_irs_aoa(0), 3)
     scan_step = float(plan.mu_grid[1] - plan.mu_grid[0])
     for mu, nu in listed_irs:
@@ -308,7 +312,8 @@ def test_criterion_8_music_rmse_approaches_the_bound():
         probing = dft_codebook(scene.n_bs, t1, p)
         errs = []
         for t in range(trials):
-            block = synthesize_stage1(scene, probing, NOISE_VAR, trial_seed(88, int(p_dbm) & 63, t))
+            block = synthesize_stage1(stage1_echo(scene, probing), NOISE_VAR,
+                                      trial_seed(88, int(p_dbm) & 63, t))
             est = music_estimate(sample_covariance(block), scene.bs_upa, 1, 2e-3,
                                  refine_levels=3)
             errs.append([est.angles[0].mu - true_doa.mu, est.angles[0].nu - true_doa.nu])
@@ -358,11 +363,12 @@ def test_criterion_9_property_suites():
 
     # seed determinism end to end
     probing = dft_codebook(g.n_bs, 12, 1.0)
-    b1 = synthesize_stage1(g, probing, 1e-6, 5)
-    b2 = synthesize_stage1(g, probing, 1e-6, 5)
+    b1 = synthesize_stage1(stage1_echo(g, probing), 1e-6, 5)
+    b2 = synthesize_stage1(stage1_echo(g, probing), 1e-6, 5)
     assert np.array_equal(b1, b2)
-    o1 = synthesize_stage2(g, 0, plan, 1e-9, 6, Stage2Mode.CASE1_APPROX, 1.0)
-    o2 = synthesize_stage2(g, 0, plan, 1e-9, 6, Stage2Mode.CASE1_APPROX, 1.0)
+    model = stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    o1 = synthesize_stage2(g, plan, model, 1e-9, 6)
+    o2 = synthesize_stage2(g, plan, model, 1e-9, 6)
     assert np.array_equal(o1.y_values, o2.y_values)
 
     # matching permutation invariance

@@ -54,7 +54,35 @@ def test_summary_reads_quartiles_and_pairs_won_per_metric(bench_pairs):
     lines = bench_pairs.report("w", [rate])
     assert lines == ["w trials_per_s (1/s, higher is better): parent 110 [100, 120]  "
                      "change 130 [120, 140]  median +18.2%; change better in 4/5, worse in 1, "
-                     "equal in 0"]
+                     "equal in 0; gain claim not met (median gap 20, parent IQR 20)"]
+    assert not any(m["claim"] for m in (rate, bounds, rmse))
+
+
+def _pairs(parent, change):
+    """Canned runs of one pair per (parent, change) rate; bounds_s mirrors the rate."""
+    return [_run(i, side, rate, 1000.0 - rate, 0.5)
+            for i, (p, c) in enumerate(zip(parent, change), 1)
+            for side, rate in (("parent", p), ("change", c))]
+
+
+@pytest.mark.parametrize("change, claim", [
+    ([p + 10 for p in range(100, 109)] + [108], True),    # 9/10 won, gap 9 > IQR 4.5
+    ([p + 3 for p in range(100, 109)] + [108], False),    # 9/10 won, gap 3 <= IQR 4.5
+    ([p + 10 for p in range(100, 108)] + [107, 108], False),  # 8/10 won
+    ([p + 10 for p in range(100, 109)] + [109], True),    # 9 won and a tie
+    ([p + 10 for p in range(100, 108)] + [108, 109], False),  # 8 won and two ties
+    ([p + 10 for p in range(100, 109)], False),  # 9/9 won, but fewer than ten pairs ran
+], ids=["met", "gap_within_iqr", "eight_wins", "nine_wins_one_tie", "eight_wins_two_ties",
+        "nine_pairs"])
+def test_the_claim_needs_nine_tenths_of_pairs_and_a_gap_past_the_parent_iqr(bench_pairs, change,
+                                                                            claim):
+    parent = [float(p) for p in range(100, 100 + len(change))]  # ten: quartiles 102.25, 106.75
+    rate, bounds, _ = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    assert rate["parent_iqr"] == bounds["parent_iqr"] == (4.5 if len(change) == 10 else 4.0)
+    assert rate["claim"] is bounds["claim"] is claim  # a higher and a lower-is-better metric
+    assert bench_pairs.report("w", [rate])[0].endswith(
+        f"gain claim {'met' if claim else 'not met'} (median gap {rate['median_gap']:.6g}, "
+        f"parent IQR {rate['parent_iqr']:.6g})")
 
 
 def test_summary_needs_both_sides_of_every_pair(bench_pairs):

@@ -829,6 +829,8 @@ def test_config_validation():
             ("p_bs_dbm_sweep", {**raw, "p_bs_dbm_sweep": "10"}),
             ("music_grid", {**raw, "music_grid": "2e-3"}),
             ("noise_dbm", {**raw, "noise_dbm": "-80"}),
+            ("output_path", {**raw, "output_path": 7}),  # would write into descriptor 7
+            ("output_path", {**raw, "output_path": ["a"]}),
             ("scene.bs_upa", {**raw, "scene": {**scene, "bs_upa": {**scene["bs_upa"], "n_x": 4}}}),
             ("scene.irs_upa", {**raw, "scene": {**scene, "irs_upa": [{"n_y": 4, "n": 4}]}})):
         with pytest.raises(InvalidArgumentError, match=re.escape(field_name)):

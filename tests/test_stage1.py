@@ -36,7 +36,7 @@ def small_scene(targets=None):
 def test_noiseless_columns_live_in_steering_span():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    block = synthesize_stage1(g, w, 0.0, 1)
+    block = synthesize_stage1(stage1_echo(g, w), 0.0, 1)
     a = upa_response(g.bs_target_doa(0), g.bs_upa)
     a = a / np.linalg.norm(a)
     for col in block.T:
@@ -47,7 +47,7 @@ def test_noiseless_columns_live_in_steering_span():
 def test_zero_probing_gives_pure_noise_variance():
     g = small_scene()
     t1 = 700  # T1 * N_BS > 1e4 samples
-    block = synthesize_stage1(g, np.zeros((g.n_bs, t1)), 2.5, 42)
+    block = synthesize_stage1(stage1_echo(g, np.zeros((g.n_bs, t1))), 2.5, 42)
     sample_var = np.mean(np.abs(block) ** 2)
     assert sample_var == pytest.approx(2.5, rel=0.05)
 
@@ -55,9 +55,9 @@ def test_zero_probing_gives_pure_noise_variance():
 def test_synthesis_is_deterministic_per_seed():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    b1 = synthesize_stage1(g, w, 1e-3, 7)
-    b2 = synthesize_stage1(g, w, 1e-3, 7)
-    b3 = synthesize_stage1(g, w, 1e-3, 8)
+    b1 = synthesize_stage1(stage1_echo(g, w), 1e-3, 7)
+    b2 = synthesize_stage1(stage1_echo(g, w), 1e-3, 7)
+    b3 = synthesize_stage1(stage1_echo(g, w), 1e-3, 8)
     assert np.array_equal(b1, b2)
     assert not np.array_equal(b1, b3)
 
@@ -65,7 +65,18 @@ def test_synthesis_is_deterministic_per_seed():
 def test_synthesis_rejects_wrong_probing_shape():
     g = small_scene()
     with pytest.raises(InvalidArgumentError):
-        synthesize_stage1(g, np.zeros((3, 5)), 0.0, 0)
+        synthesize_stage1(stage1_echo(g, np.zeros((3, 5))), 0.0, 0)
+
+
+@pytest.mark.parametrize("noise_var", [1e-3, 0.0])
+def test_synthesis_rejects_an_echo_it_cannot_add_noise_into(noise_var):
+    # a cached unit echo is read-only: a caller passes sqrt(P) times it, a new array
+    g = small_scene()
+    unit = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
+    unit.setflags(write=False)
+    for bad in (unit, unit[:, 0].copy(), unit[None].copy(), unit.tolist()):
+        with pytest.raises(InvalidArgumentError, match="writable"):
+            synthesize_stage1(bad, noise_var, 0)
 
 
 def test_synthesis_matches_dense_channel_oracle():
@@ -73,7 +84,7 @@ def test_synthesis_matches_dense_channel_oracle():
     # with the noise drawn in the same order
     g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
     w = dft_codebook(g.n_bs, 16, 1.0)
-    block = synthesize_stage1(g, w, 1e-3, 11)
+    block = synthesize_stage1(stage1_echo(g, w), 1e-3, 11)
     rng = np.random.default_rng(11)
     noise = rng.standard_normal((g.n_bs, 16)) + 1j * rng.standard_normal((g.n_bs, 16))
     dense = (channel_btb(g, 0) + channel_btb(g, 1)) @ w + np.sqrt(1e-3 / 2.0) * noise
@@ -88,7 +99,7 @@ def test_noise_added_into_a_scaled_echo_matches_the_two_draw_formula(seed):
     unit = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
     unit.setflags(write=False)
     amplitude, noise_var = np.sqrt(dbm_to_watts(20.0)), 1e-11
-    got = synthesize_stage1(g, None, noise_var, seed, echo=amplitude * unit)
+    got = synthesize_stage1(amplitude * unit, noise_var, seed)
     rng = np.random.default_rng(seed)
     want = np.empty(unit.shape, dtype=complex)
     want.real = np.sqrt(noise_var / 2.0) * rng.standard_normal(unit.shape)
@@ -102,19 +113,19 @@ def test_synthesis_returns_the_passed_echo_itself(noise_var):
     # the harness passes a fresh scaled echo and keeps the result, so no copy is made
     g = small_scene()
     y = stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0))
-    assert synthesize_stage1(g, None, noise_var, 3, echo=y) is y
+    assert synthesize_stage1(y, noise_var, 3) is y
 
 
 def test_sample_covariance_properties():
     g = small_scene()
     w = dft_codebook(g.n_bs, 32, 1.0)
-    block = synthesize_stage1(g, w, 1e-4, 3)
+    block = synthesize_stage1(stage1_echo(g, w), 1e-4, 3)
     cov = sample_covariance(block)
     sym = 0.5 * (cov + cov.conj().T)
     assert np.allclose(sym, sym.conj().T)
     assert np.trace(cov).real == pytest.approx(np.linalg.norm(block, "fro") ** 2 / 32,
                                                rel=1e-12)
-    noiseless = sample_covariance(synthesize_stage1(g, w, 0.0, 3))
+    noiseless = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 3))
     eigvals = np.linalg.eigvalsh(0.5 * (noiseless + noiseless.conj().T))[::-1]
     assert eigvals[1] < 1e-10 * eigvals[0]
 
@@ -122,7 +133,7 @@ def test_sample_covariance_properties():
 def test_white_probing_covariance_rank_equals_target_count():
     g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
     w = dft_codebook(g.n_bs, 16, 1.0)  # t1 = n, exactly white
-    cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
     eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1]
     assert eigvals[1] > 1e-8 * eigvals[0]
     assert eigvals[2] < 1e-8 * eigvals[0]
@@ -131,7 +142,7 @@ def test_white_probing_covariance_rank_equals_target_count():
 def test_eigendecomposition_order_and_orthogonality():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 1e-3, 5))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 1e-3, 5))
     eigvals, u_s, u_n = signal_noise_subspaces(cov, 1)
     assert np.all(np.diff(eigvals) <= 1e-12 * eigvals[0])
     assert np.max(np.abs(u_s.conj().T @ u_n)) < 1e-10
@@ -143,7 +154,7 @@ def test_spectrum_matches_noise_subspace_formula():
     # direct a^H U_n U_n^H a evaluation is the independent oracle
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 1e-3, 9))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 1e-3, 9))
     mu_axis, nu_axis, spec = music_spectrum(cov, g.bs_upa, 1, grid_resolution=0.25)
     _, _, u_n = signal_noise_subspaces(cov, 1)
     proj = u_n @ u_n.conj().T
@@ -162,7 +173,7 @@ def test_noiseless_spectrum_diverges_at_truth():
     doa = g.bs_target_doa(0)
     assert doa.mu == pytest.approx(0.5, abs=1e-12) and doa.nu == pytest.approx(-0.25, abs=1e-12)
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
     mu_axis, nu_axis, spec = music_spectrum(cov, g.bs_upa, 1, grid_resolution=2e-3)
     i = int(np.argmin(np.abs(mu_axis - doa.mu)))
     j = int(np.argmin(np.abs(nu_axis - doa.nu)))
@@ -179,7 +190,7 @@ def test_isotropic_covariance_spectrum_is_flat():
 def test_peak_locations_stable_under_tiny_hermitian_perturbation():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 1e-4, 6))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 1e-4, 6))
     rng = np.random.default_rng(0)
     x = rng.standard_normal(cov.shape) + 1j * rng.standard_normal(cov.shape)
     bump = 1e-13 * np.abs(cov).max() * (x + x.conj().T)
@@ -191,7 +202,7 @@ def test_peak_locations_stable_under_tiny_hermitian_perturbation():
 def test_spectrum_invariant_to_positive_scaling():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 1e-3, 4))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 1e-3, 4))
     _, _, s1 = music_spectrum(cov, g.bs_upa, 1, grid_resolution=0.02)
     _, _, s2 = music_spectrum(7.3 * cov, g.bs_upa, 1, grid_resolution=0.02)
     assert np.unravel_index(np.argmax(s1), s1.shape) == np.unravel_index(np.argmax(s2), s2.shape)
@@ -200,7 +211,7 @@ def test_spectrum_invariant_to_positive_scaling():
 def test_noiseless_estimate_hits_nearest_grid_node():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
     res = 0.01
     est = music_estimate(cov, g.bs_upa, 1, grid_resolution=res, refine_levels=0)
     doa = g.bs_target_doa(0)
@@ -213,7 +224,7 @@ def test_noiseless_estimate_hits_nearest_grid_node():
 def test_refinement_tightens_noiseless_estimate():
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
     doa = g.bs_target_doa(0)
     coarse = music_estimate(cov, g.bs_upa, 1, 0.01, refine_levels=0)
     fine = music_estimate(cov, g.bs_upa, 1, 0.01, refine_levels=2)
@@ -231,7 +242,7 @@ def test_two_targets_recovered_in_either_order():
     for order, targets in enumerate([[t_a, t_b], [t_b, t_a]]):
         g = small_scene(targets=targets)
         w = dft_codebook(g.n_bs, 16, 1.0)
-        cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+        cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
         est = music_estimate(cov, g.bs_upa, 2, 0.01, refine_levels=0)
         estimates[order] = {(round(a.mu, 6), round(a.nu, 6)) for a in est.angles}
         truths[order] = [g.bs_target_doa(k) for k in range(2)]
@@ -245,7 +256,7 @@ def test_under_resolved_when_grid_cannot_hold_requested_peaks():
     # peak can ever be extracted
     g = small_scene()
     w = dft_codebook(g.n_bs, 16, 1.0)
-    cov = sample_covariance(synthesize_stage1(g, w, 0.0, 0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 0.0, 0))
     with pytest.raises(UnderResolvedError) as err:
         music_estimate(cov, g.bs_upa, 2, grid_resolution=1.0, refine_levels=0)
     assert err.value.found == 1
@@ -288,7 +299,7 @@ def test_coarse_to_fine_search_matches_dense_grid(name):
     for p_dbm in range(-10, 45, 5):
         probing = dft_codebook(g.n_bs, 60, dbm_to_watts(p_dbm))
         for seed in range(5):
-            block = synthesize_stage1(g, probing, 1e-11, 1000 * (p_dbm + 10) + seed)
+            block = synthesize_stage1(stage1_echo(g, probing), 1e-11, 1000 * (p_dbm + 10) + seed)
             _, _, spec = music_spectrum(block, g.bs_upa, k, res)
             want = top_peaks_2d(spec, k, 3)
             got = grid_nodes(music_estimate(block, g.bs_upa, k, res, refine_levels=0), res)
@@ -308,7 +319,8 @@ def test_search_finds_weak_maximum_on_a_lobe_flank():
     # straight through it, so only the zoom around near-equal coarse nodes
     # finds it
     g = flagship_bs_scene(SEARCH_SCENES["close_pair"])
-    block = synthesize_stage1(g, dft_codebook(g.n_bs, 60, dbm_to_watts(-5.0)), 1e-11, 500024)
+    block = synthesize_stage1(stage1_echo(g, dft_codebook(g.n_bs, 60, dbm_to_watts(-5.0))), 1e-11,
+                              500024)
     _, _, spec = music_spectrum(block, g.bs_upa, 3, 2e-3)
     want = top_peaks_2d(spec, 3, 3)
     assert want[2] == (593, 393)
@@ -318,7 +330,7 @@ def test_search_finds_weak_maximum_on_a_lobe_flank():
 
 def test_snapshots_need_as_many_columns_as_targets():
     g = small_scene(targets=[Position3(-12.0, 6.0, 0.0), Position3(-6.0, 2.0, 1.0)])
-    block = synthesize_stage1(g, dft_codebook(g.n_bs, 1, 1.0), 0.0, 0)
+    block = synthesize_stage1(stage1_echo(g, dft_codebook(g.n_bs, 1, 1.0)), 0.0, 0)
     with pytest.raises(InvalidArgumentError):
         music_estimate(block, g.bs_upa, 2, 0.01)
 
@@ -336,7 +348,7 @@ def projector(u):
 def test_gram_subspace_matches_thin_svd(k, t1):
     g = small_scene(targets=GRAM_TARGETS[:k])
     for p_dbm in (-10, 0, 10, 20, 30, 40):
-        y = synthesize_stage1(g, dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm)), 1e-11,
+        y = synthesize_stage1(stage1_echo(g, dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm))), 1e-11,
                               1000 * k + 10 * t1 + p_dbm)
         u_svd = np.linalg.svd(y, full_matrices=False)[0][:, :k]
         u_s = _signal_subspace(y, k)
@@ -346,8 +358,8 @@ def test_gram_subspace_matches_thin_svd(k, t1):
 
 def test_gram_subspace_of_a_covariance_matches_its_eigenvectors():
     g = small_scene(targets=GRAM_TARGETS[:2])
-    cov = sample_covariance(synthesize_stage1(g, dft_codebook(g.n_bs, 16, dbm_to_watts(10.0)),
-                                              1e-11, 9))
+    w = dft_codebook(g.n_bs, 16, dbm_to_watts(10.0))
+    cov = sample_covariance(synthesize_stage1(stage1_echo(g, w), 1e-11, 9))
     _, u_eig, _ = signal_noise_subspaces(cov, 2)
     assert np.max(np.abs(projector(_signal_subspace(cov, 2)) - projector(u_eig))) < 1e-12
 
@@ -355,7 +367,7 @@ def test_gram_subspace_of_a_covariance_matches_its_eigenvectors():
 def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
     # One noiseless target asked for two directions: the second has no signal.
     g = small_scene()
-    y = synthesize_stage1(g, dft_codebook(g.n_bs, 16, 1.0), 0.0, 0)
+    y = synthesize_stage1(stage1_echo(g, dft_codebook(g.n_bs, 16, 1.0)), 0.0, 0)
     u_s = _signal_subspace(y, 2)
     assert np.all(np.isfinite(u_s))
     assert np.max(np.abs(u_s.conj().T @ u_s - np.eye(2))) < 1e-12
@@ -365,7 +377,7 @@ def test_signal_subspace_stays_orthonormal_without_signal_in_a_direction():
 
 def batch_blocks(g, p_dbm, seeds, t1=60):
     probing = dft_codebook(g.n_bs, t1, dbm_to_watts(p_dbm))
-    return [synthesize_stage1(g, probing, 1e-11, seed) for seed in seeds]
+    return [synthesize_stage1(stage1_echo(g, probing), 1e-11, seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("name", ["one_target", "three_targets"])

@@ -19,6 +19,7 @@ from irsloc import (
     composite_angle,
     matched_theta,
     scan_estimate,
+    stage2_model,
     steering_vector,
     synthesize_stage2,
     upa_response,
@@ -125,7 +126,8 @@ def test_full_echo_equals_scalar_model_identity():
     g = random_desk_scene(21, max_side=4)
     p = 2.0
     plan = build_scan_plan(g.irs_upa[0], 4, 4)
-    full = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.FULL_ECHO, p, joint=True)
+    full = synthesize_stage2(g, plan, stage2_model(g, 0, plan, Stage2Mode.FULL_ECHO, p), 0.0, 0,
+                             joint=True)
     alpha = case1_amplitude(g, 0, 0, p)
     alpha_t, b = case2_amplitude(g, 0, 0, p)
     comp = composite_angle(g, 0, 0)
@@ -172,12 +174,13 @@ def test_full_echo_matches_dense_oracle(noise_var):
                       targets=[base.targets[0], Position3(-9.0, -4.0, 1.5)])
     plan = build_scan_plan(g.irs_upa[0], 5, 4)
     p, seed = 2.0, 31
-    joint = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    model = stage2_model(g, 0, plan, Stage2Mode.FULL_ECHO, p)
+    joint = synthesize_stage2(g, plan, model, noise_var, seed, joint=True)
     ii, jj = np.meshgrid(np.arange(plan.t2_y), np.arange(plan.t2_z), indexing="ij")
     expected = _dense_full_echo(g, plan, p, [(ii.ravel(), jj.ravel())], noise_var, seed)
     np.testing.assert_allclose(joint.grid_values.ravel(), expected, rtol=1e-10, atol=0)
 
-    seq = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p)
+    seq = synthesize_stage2(g, plan, model, noise_var, seed)
     # the z sweep holds the y sweep's strongest beam, read here off the oracle's own y sweep
     y_sweep = _dense_full_echo(g, plan, p, [(range(plan.t2_y), [plan.hold_z_index] * plan.t2_y)],
                                noise_var, seed)
@@ -198,8 +201,9 @@ def test_noise_is_one_scalar_draw_per_sample_in_every_mode(mode, joint):
     plan = build_scan_plan(g.irs_upa[0], 60, 60)
     p, noise_var, seed = 2.0, 1e-3, 41
     eff_var = g.n_bs * noise_var
-    clean = synthesize_stage2(g, 0, plan, 0.0, seed, mode, p, joint=True).grid_values
-    obs = synthesize_stage2(g, 0, plan, noise_var, seed, mode, p, joint=joint)
+    model = stage2_model(g, 0, plan, mode, p)
+    clean = synthesize_stage2(g, plan, model, 0.0, seed, joint=True).grid_values
+    obs = synthesize_stage2(g, plan, model, noise_var, seed, joint=joint)
     rng = np.random.default_rng(seed)
     if joint:
         got, expected = (obs.grid_values - clean).ravel(), _scalar_noise(rng, clean.size, eff_var)
@@ -224,8 +228,9 @@ def test_full_echo_noise_matches_one_shot_draws_across_chunks(samples):
         warnings.simplefilter("ignore")  # a one-beam axis warns
         plan = build_scan_plan(g.irs_upa[0], samples, 1)
     p, noise_var, seed = 2.0, 1e-3, 41
-    clean = synthesize_stage2(g, 0, plan, 0.0, seed, Stage2Mode.FULL_ECHO, p, joint=True)
-    noisy = synthesize_stage2(g, 0, plan, noise_var, seed, Stage2Mode.FULL_ECHO, p, joint=True)
+    model = stage2_model(g, 0, plan, Stage2Mode.FULL_ECHO, p)
+    clean = synthesize_stage2(g, plan, model, 0.0, seed, joint=True)
+    noisy = synthesize_stage2(g, plan, model, noise_var, seed, joint=True)
     expected = _scalar_noise(np.random.default_rng(seed), samples, g.n_bs * noise_var)
     np.testing.assert_allclose((noisy.grid_values - clean.grid_values).ravel(), expected,
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
@@ -235,7 +240,8 @@ def test_full_echo_noise_filter_allocates_no_dense_draw_matrix(single_scene):
     # flagship 400-element BS, 30x30 joint scan: the complex 900x400 draw matrix
     # alone would take 5.8 MB
     plan = build_scan_plan(single_scene.irs_upa[0], 30, 30)
-    args = (single_scene, 0, plan, 1e-11, 3, Stage2Mode.FULL_ECHO, 1.0)
+    args = (single_scene, plan, stage2_model(single_scene, 0, plan, Stage2Mode.FULL_ECHO, 1.0),
+            1e-11, 3)
     synthesize_stage2(*args, joint=True)
     tracemalloc.start()
     try:
@@ -246,11 +252,24 @@ def test_full_echo_noise_filter_allocates_no_dense_draw_matrix(single_scene):
     assert peak < 4e6
 
 
+def test_synthesis_rejects_a_model_off_the_plan_grid(single_scene):
+    # a 60x60 grid under a 30x30 plan would otherwise be read at its top-left block
+    plan = build_scan_plan(single_scene.irs_upa[0], 30, 30)
+    big = stage2_model(single_scene, 0, build_scan_plan(single_scene.irs_upa[0], 60, 60),
+                       Stage2Mode.CASE1_APPROX, 1.0)
+    for model in (big, big[:30, :29], big[:30, :30].ravel()):
+        for joint in (False, True):
+            with pytest.raises(InvalidArgumentError, match=r"\(30, 30\) beam grid"):
+                synthesize_stage2(single_scene, plan, model, 1e-11, 0, joint)
+
+
 def test_case1_approximation_error_small_for_large_arrays(single_scene):
     plan = build_scan_plan(single_scene.irs_upa[0], 6, 6)
     p = 1.0
-    full = synthesize_stage2(single_scene, 0, plan, 0.0, 0, Stage2Mode.FULL_ECHO, p, joint=True)
-    approx = synthesize_stage2(single_scene, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, p, joint=True)
+    full, approx = (
+        synthesize_stage2(single_scene, plan, stage2_model(single_scene, 0, plan, mode, p), 0.0, 0,
+                          joint=True)
+        for mode in (Stage2Mode.FULL_ECHO, Stage2Mode.CASE1_APPROX))
     num = np.sum(np.abs(full.grid_values - approx.grid_values) ** 2)
     den = np.sum(np.abs(full.grid_values) ** 2)
     assert num / den < 0.05
@@ -278,7 +297,8 @@ def test_matched_beam_value_is_alpha_nr_squared():
 
     plan = build_scan_plan(g.irs_upa[0], t2, t2)
     p = 3.0
-    obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, p, joint=True)
+    obs = synthesize_stage2(g, plan, stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, p), 0.0, 0,
+                            joint=True)
     i = int(np.argmin(np.abs(plan.mu_grid - mu_goal)))
     j = int(np.argmin(np.abs(plan.nu_grid - nu_goal)))
     alpha = case1_amplitude(g, 0, 0, p)
@@ -289,11 +309,13 @@ def test_matched_beam_value_is_alpha_nr_squared():
 def test_synthesis_deterministic_per_seed(single_scene):
     plan = build_scan_plan(single_scene.irs_upa[0], 5, 5)
     for mode in (Stage2Mode.CASE1_APPROX, Stage2Mode.CASE2_APPROX):
-        a = synthesize_stage2(single_scene, 0, plan, 1e-11, 5, mode, 1.0)
-        b = synthesize_stage2(single_scene, 0, plan, 1e-11, 5, mode, 1.0)
+        model = stage2_model(single_scene, 0, plan, mode, 1.0)
+        a = synthesize_stage2(single_scene, plan, model, 1e-11, 5)
+        b = synthesize_stage2(single_scene, plan, model, 1e-11, 5)
         assert np.array_equal(a.y_values, b.y_values)
         assert np.array_equal(a.z_values, b.z_values)
-    c = synthesize_stage2(single_scene, 0, plan, 1e-11, 6, Stage2Mode.CASE1_APPROX, 1.0)
+    model = stage2_model(single_scene, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    c = synthesize_stage2(single_scene, plan, model, 1e-11, 6)
     assert not np.array_equal(a.y_values, c.y_values)
 
 
@@ -334,7 +356,8 @@ def test_regime_flip_matches_paper_threshold_when_equidistant():
 
 def test_scan_estimate_recovers_nearest_node(single_scene):
     plan = build_scan_plan(single_scene.irs_upa[0], 60, 60)
-    obs = synthesize_stage2(single_scene, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0)
+    model = stage2_model(single_scene, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    obs = synthesize_stage2(single_scene, plan, model, 0.0, 0)
     est = scan_estimate(obs, plan, single_scene.bs_irs_aoa(0), 1)[0]
     comp = composite_angle(single_scene, 0, 0)
     aoa = single_scene.bs_irs_aoa(0)
@@ -346,7 +369,8 @@ def test_scan_estimate_recovers_nearest_node(single_scene):
 
 def test_scan_estimate_joint_mode(single_scene):
     plan = build_scan_plan(single_scene.irs_upa[0], 20, 20)
-    obs = synthesize_stage2(single_scene, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0, joint=True)
+    model = stage2_model(single_scene, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    obs = synthesize_stage2(single_scene, plan, model, 0.0, 0, joint=True)
     est = scan_estimate(obs, plan, single_scene.bs_irs_aoa(0), 1)[0]
     truth = single_scene.irs_target_doa(0, 0)
     step = plan.mu_grid[1] - plan.mu_grid[0]
@@ -395,6 +419,7 @@ def test_sequential_estimate_on_hand_built_sweeps():
 def test_scan_under_resolved():
     g = random_desk_scene(4)
     plan = build_scan_plan(g.irs_upa[0], 12, 12)
-    obs = synthesize_stage2(g, 0, plan, 0.0, 0, Stage2Mode.CASE1_APPROX, 1.0, joint=True)
+    model = stage2_model(g, 0, plan, Stage2Mode.CASE1_APPROX, 1.0)
+    obs = synthesize_stage2(g, plan, model, 0.0, 0, joint=True)
     with pytest.raises(UnderResolvedError):
         scan_estimate(obs, plan, g.bs_irs_aoa(0), 50)

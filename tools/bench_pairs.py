@@ -10,9 +10,12 @@ drift of the machine over time falls on both sides alike.
 
 Each run's result is the last JSON line it prints (its `env ` line is kept
 with it).  For every end-to-end metric of BENCHMARK.json the summary prints
-the median and quartiles of each side, the change in the median, and in how
-many pairs the change was better, worse or equal.  --out writes every run's
-record as JSON, for a committed BENCH_*.json.
+the median and quartiles of each side, the change in the median, in how
+many pairs the change was better, worse or equal, and whether a gain may be
+claimed: at least ten pairs ran, the change is better in at least nine
+tenths of them (a tie is no win), and its median beats the parent's by more
+than the parent's interquartile range.  --out writes every run's record as JSON, for a
+committed BENCH_*.json.
 """
 
 from __future__ import annotations
@@ -63,11 +66,14 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
-    """Per metric: each side's quartiles and how many pairs the change won, lost and tied.
+    """Per metric: each side's quartiles, the pairs the change won, lost and tied, and the claim.
 
     runs holds one record per run with keys pair, side and the run's result
     (metrics, failed, correct); every pair needs both sides.  A pair counts
     as won when the change's value is better in the metric's direction.
+    claim is true when at least ten pairs ran, nine tenths of them are won,
+    and the median gap, in the better direction, exceeds the parent's
+    interquartile range.
     """
     pairs = sorted({r["pair"] for r in runs})
     by = {(r["pair"], r["side"]): r for r in runs}
@@ -80,12 +86,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
         values = {s: [by[p, s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         parent, change = _quartiles(values["parent"]), _quartiles(values["change"])
+        won = sum(d > 0 for d in diffs)
+        gap, iqr = sign * (change[1] - parent[1]), parent[2] - parent[0]
         out.append({
             "name": name, "unit": metric["unit"], "better": metric["better"],
             "pairs": len(pairs), "parent": parent, "change": change,
             "median_change": change[1] / parent[1] - 1.0 if parent[1] else float("nan"),
-            "won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
-            "tied": sum(d == 0 for d in diffs),
+            "won": won, "lost": sum(d < 0 for d in diffs), "tied": sum(d == 0 for d in diffs),
+            "median_gap": gap, "parent_iqr": iqr,
+            "claim": len(pairs) >= 10 and 10 * won >= 9 * len(pairs) and gap > iqr,
         })
     return out
 
@@ -109,7 +118,9 @@ def report(workload: str, summary: list[dict]) -> list[str]:
             f"{workload} {m['name']} ({m['unit']}, {m['better']} is better): "
             f"parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
             f"median {m['median_change']:+.1%}; change better in {m['won']}/{m['pairs']}, "
-            f"worse in {m['lost']}, equal in {m['tied']}")
+            f"worse in {m['lost']}, equal in {m['tied']}; gain claim "
+            f"{'met' if m['claim'] else 'not met'} (median gap {m['median_gap']:.6g}, "
+            f"parent IQR {m['parent_iqr']:.6g})")
     return lines
 
 
