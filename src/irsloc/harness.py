@@ -9,11 +9,14 @@ to the output come exclusively from the Fisher-information module.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import functools
 import itertools
 import math
 import numbers
+import os
 import sys
 import time
 from collections.abc import Mapping
@@ -24,7 +27,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from . import stage2
+from . import stage1, stage2
 from .arrays import Position3, SpatialAnglePair, UpaConfig, check_power, dft_codebook, is_number
 from .channel import SceneGeometry, dbm_to_watts
 from .crb import crb_trace_stage1, fim_stage1, fim_stage2, fim_stage2_case1, fim_stage2_case2
@@ -208,9 +211,10 @@ class TrialRecord:
     """One trial's truth, estimates and outcome.
 
     wall_time_s is the time run_trial took.  Run alone that is the whole
-    trial; in a sweep the stage-1 searches run stacked, a batch of trials
-    ahead (_sweep_cells), so it covers stage 2, localization and the
-    record, not stage 1.
+    trial; in a sweep the stage-1 searches run stacked on worker threads,
+    batches ahead of the trials (_sweep_cells), so it covers stage 2,
+    localization and the record, not stage 1, and it overlaps the stage-1
+    work of later batches that shares the CPUs.
     """
 
     trial_index: int
@@ -324,11 +328,6 @@ def _amplitude(p_bs_dbm: float) -> float:
     return np.sqrt(p_watts)
 
 
-def _stage1_samples(config: ExperimentConfig, echo: np.ndarray, seed: int) -> np.ndarray:
-    """A trial's noisy stage-1 snapshots: its seeded noise added into echo, which it consumes."""
-    return synthesize_stage1(echo, config.noise_var, _stage_seed(seed, 0))
-
-
 def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
               trial_index: int = 0, *,
               music: MusicEstimate | IrslocError | None = None) -> TrialRecord:
@@ -359,8 +358,9 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     )
     try:
         if music is None:
-            music = music_estimate(_stage1_samples(config, amplitude * echo, seed), scene.bs_upa,
-                                   k, config.music_grid, config.music_refine_levels)
+            music = music_estimate(
+                synthesize_stage1(amplitude * echo, config.noise_var, _stage_seed(seed, 0)),
+                scene.bs_upa, k, config.music_grid, config.music_refine_levels)
         elif isinstance(music, IrslocError):
             raise music
         est_bs = music.angles
@@ -485,6 +485,77 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
     return row
 
 
+@functools.cache
+def _blas_threads() -> tuple | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if it has none.
+
+    Looked up once, on the first sweep that asks, in the library that numpy
+    ships beside itself (numpy.libs/*openblas*).
+    """
+    import ctypes
+    import glob
+
+    for lib in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("get")) and hasattr(handle, name.format("set")):
+                get, put = getattr(handle, name.format("get")), getattr(handle, name.format("set"))
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _stage1_workers() -> int:
+    """Worker threads for a sweep's stage-1 batches; 0 runs them inline.
+
+    One per usable CPU, with the BLAS held to one thread so that the workers
+    and the calling thread do not oversubscribe the CPUs; inline when one
+    CPU is usable or the BLAS thread count cannot be set.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus if cpus > 1 and _blas_threads() is not None else 0
+
+
+def _run_now(fn, *args):
+    result = fn(*args)
+    return lambda: result
+
+
+@contextlib.contextmanager
+def _stage1_pool():
+    """(submit, workers) for one sweep's stage-1 batches.
+
+    submit(fn, *args) starts fn(*args) and returns a callable that waits for
+    its result.  With workers threads (_stage1_workers) it runs on them,
+    with numpy's OpenBLAS held to one thread until the pool is shut down;
+    with none it runs at once on the calling thread.  On exit, normal or
+    not, queued calls are cancelled, running ones are waited for, the
+    threads end and the BLAS thread count is restored.
+    """
+    workers = _stage1_workers()
+    if not workers:
+        yield _run_now, 0
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported by the first sweep only
+
+    blas = _blas_threads()
+    threads = blas[0]() if blas else None
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="irsloc-stage1")
+    try:
+        if blas:
+            blas[1](1)
+        yield (lambda fn, *args: pool.submit(fn, *args).result), workers
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        if blas:
+            blas[1](threads)
+
+
 def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfig, float, int]],
                  skip_degenerate: bool = False) -> list[list[TrialRecord]]:
     """The seeded trial records of each cell (config, power, sweep index), in order.
@@ -493,11 +564,16 @@ def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfi
     BS array, target count and search.  Stage 1 runs for SEARCH_BATCH trials
     at a time in sweep order, so batches straddle cells: each trial's
     snapshots and signal subspace on their own, then the searches stacked
-    (music_estimates).  Each trial of the batch then runs through run_trial
-    with its stage-1 result, so every record equals the one the same trial
-    gives run alone.  A cell's power is checked before its scene; a
-    degenerate scene raises DegenerateGeometryError, or with
-    skip_degenerate adds no trials and leaves its cell empty.
+    (music_estimates).  The batches run on worker threads (_stage1_pool),
+    at most one more than there are workers ahead of the trials, while the
+    calling thread runs each finished batch's trials through run_trial with
+    their stage-1 results, in sweep order, so every record equals the one
+    the same trial gives run alone.  The workers look up no name that a
+    tracer patches on the harness (they synthesize through the stage-1
+    module), so every traced span opens on the calling thread.  A cell's
+    power is checked before its scene; a degenerate scene raises
+    DegenerateGeometryError, or with skip_degenerate adds no trials and
+    leaves its cell empty.
     """
     def trials():
         for c, (cfg, p_dbm, s_idx) in enumerate(cells):
@@ -511,16 +587,27 @@ def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfi
             for t in range(cfg.trials):
                 yield c, t, trial_seed(cfg.base_seed, s_idx, t), amplitude, echo
 
-    records: list = [[] for _ in cells]
-    pending = trials()
-    while batch := list(itertools.islice(pending, SEARCH_BATCH)):
-        music = music_estimates((_stage1_samples(cells[c][0], amplitude * echo, seed)
-                                 for c, _, seed, amplitude, echo in batch),
-                                config.scene.bs_upa, config.n_targets, config.music_grid,
-                                config.music_refine_levels)
-        for (c, t, seed, *_), result in zip(batch, music):
+    def stage1_results(batch):
+        return music_estimates(
+            (stage1.synthesize_stage1(amplitude * echo, cells[c][0].noise_var, _stage_seed(seed, 0))
+             for c, _, seed, amplitude, echo in batch),
+            config.scene.bs_upa, config.n_targets, config.music_grid, config.music_refine_levels)
+
+    def run_trials(batch, music):
+        for (c, t, seed, *_), result in zip(batch, music()):
             cfg, p_dbm, _ = cells[c]
             records[c].append(run_trial(cfg, p_dbm, seed, t, music=result))
+
+    records: list = [[] for _ in cells]
+    pending = trials()
+    with _stage1_pool() as (submit, workers):
+        ahead: collections.deque = collections.deque()
+        while batch := list(itertools.islice(pending, SEARCH_BATCH)):
+            ahead.append((batch, submit(stage1_results, batch)))
+            if len(ahead) > workers:
+                run_trials(*ahead.popleft())
+        while ahead:
+            run_trials(*ahead.popleft())
     return records
 
 

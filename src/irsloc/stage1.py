@@ -13,7 +13,8 @@ the strongest coarse maxima and the coarse nodes nearly as strong as the
 weakest pick.  Grid rows come from read-only steering tables built once per
 grid resolution and array size.  The searches of several snapshot blocks run
 as one stacked pass (music_estimates), each block getting exactly the
-estimate it gets alone; a sweep searches its trials' blocks that way.
+estimate it gets alone; a sweep searches its trials' blocks that way, a
+batch per call on worker threads.
 """
 
 from __future__ import annotations
@@ -370,7 +371,9 @@ def music_estimates(blocks: Iterable[np.ndarray], cfg: UpaConfig, k: int,
     and every block gets exactly the estimate music_estimate gives it alone.
     An IrslocError that ends a block's estimate (too few columns for k, or
     fewer than k peaks) takes that block's place in the list; the other
-    blocks are searched as usual.
+    blocks are searched as usual.  Calls share nothing but the read-only
+    steering tables and coarse grids, so a sweep runs one call per batch on
+    each of several worker threads at once (harness._sweep_cells).
     """
     subspaces = (_subspace_or_error(block, k) for block in blocks)
     results: list = []

@@ -1,9 +1,12 @@
+import concurrent.futures
 import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 import yaml
 
 from irsloc import (
+    DegenerateGeometryError,
     ExperimentConfig,
     InvalidArgumentError,
     IrslocError,
@@ -280,47 +284,67 @@ def test_an_under_resolved_trial_fails_alone_in_its_batch():
 class SweepSpy:
     """Watches a sweep's stage-1 blocks, stacked searches, stage-1 results and trials.
 
+    Blocks, searches and results are made on the sweep's worker threads and
+    trials run on the calling thread, so every count is taken under one lock.
     blocks_ahead and results_ahead are the largest numbers of blocks made,
-    and of stage-1 results returned, for trials that had not yet run.
+    and of stage-1 results returned, for trials that had not yet run;
+    workers is the worker count the sweep asked for, and threads the names
+    of the threads that made blocks.
     """
 
     def __init__(self, monkeypatch):
+        self.lock = threading.Lock()
         self.blocks = self.results = self.searches = self.blocks_ahead = self.results_ahead = 0
+        self.workers = None
+        self.threads: set = set()
         self.trials: list = []  # (config, power, record) of every trial the sweep ran
-        synth, estimates, search, trial = (harness._stage1_samples, harness.music_estimates,
-                                           stage1._search, harness.run_trial)
+        synth, estimates, search, trial, workers = (
+            stage1.synthesize_stage1, harness.music_estimates, stage1._search, harness.run_trial,
+            harness._stage1_workers)
 
         def samples(*args):
-            self.blocks += 1
-            self.blocks_ahead = max(self.blocks_ahead, self.blocks - len(self.trials))
+            with self.lock:
+                self.blocks += 1
+                self.blocks_ahead = max(self.blocks_ahead, self.blocks - len(self.trials))
+                self.threads.add(threading.current_thread().name)
             return synth(*args)
 
         def music_estimates(*args):
             out = estimates(*args)
-            self.results += len(out)
-            self.results_ahead = max(self.results_ahead, self.results - len(self.trials))
+            with self.lock:
+                self.results += len(out)
+                self.results_ahead = max(self.results_ahead, self.results - len(self.trials))
             return out
 
         def stacked(*args):
-            self.searches += 1
+            with self.lock:
+                self.searches += 1
             return search(*args)
 
         def run(cfg, p_dbm, seed, trial_index, *, music):
             record = trial(cfg, p_dbm, seed, trial_index, music=music)
-            self.trials.append((cfg, p_dbm, record))
+            with self.lock:
+                self.trials.append((cfg, p_dbm, record))
             return record
 
-        monkeypatch.setattr(harness, "_stage1_samples", samples)
+        def stage1_workers():
+            self.workers = workers()
+            return self.workers
+
+        monkeypatch.setattr(stage1, "synthesize_stage1", samples)
         monkeypatch.setattr(harness, "music_estimates", music_estimates)
         monkeypatch.setattr(stage1, "_search", stacked)
         monkeypatch.setattr(harness, "run_trial", run)
+        monkeypatch.setattr(harness, "_stage1_workers", stage1_workers)
 
     def check(self, blocks: int) -> None:
-        """One stacked search per SEARCH_BATCH blocks, no more than a batch ahead of the
-        trials, and every record equal to its trial run alone (a batch of one)."""
+        """One stacked search per SEARCH_BATCH blocks, at most one batch more than there are
+        workers ahead of the trials, and every record equal to its trial run alone (a batch
+        of one)."""
         assert self.blocks == self.results == len(self.trials) == blocks
         assert self.searches == math.ceil(blocks / SEARCH_BATCH)
-        assert self.blocks_ahead <= SEARCH_BATCH and self.results_ahead <= SEARCH_BATCH
+        ahead = (self.workers + 1) * SEARCH_BATCH
+        assert self.blocks_ahead <= ahead and self.results_ahead <= ahead
         for cfg, p_dbm, record in self.trials:
             _assert_same_record(run_trial(cfg, p_dbm, record.seed, record.trial_index), record)
 
@@ -388,6 +412,125 @@ def test_sweeps_raise_on_a_bad_transmit_power_even_in_degenerate_cells():
         run_t2_sweep(cfg, [9], p_bs_dbm=-4000.0)
     with pytest.raises(InvalidArgumentError, match=message):
         run_experiment(replace(cfg, p_bs_dbm_sweep=[-4000.0]))
+
+
+def _sweeps_with_workers(monkeypatch, workers):
+    """Rows and records of three sweeps, with the stage-1 worker count forced to workers.
+
+    The power sweep holds under-resolved trials in batches that straddle its
+    points, the t2 sweep's four batches straddle its cells, and the area
+    sweep has a degenerate cell (the target on the surface) among its batches.
+    The workers start on cold steering tables, which they fill as they search.
+    """
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: workers)
+    stage1._steering_table.cache_clear()
+    stage1._coarse_grid.cache_clear()
+    spy = SweepSpy(monkeypatch)
+    rows = [run_experiment(under_resolving_config(3, [-10.0] * 4)),
+            run_t2_sweep(tiny_config(trials=9), [9, 13, 17], p_bs_dbm=30.0),
+            run_area_sweep(tiny_config(trials=3), [-15.0, -20.0, -10.0], [0.0, 2.0],
+                           p_bs_dbm=30.0, target_z=3.0)]
+    monkeypatch.undo()
+    assert spy.workers == workers
+    assert spy.blocks_ahead <= (workers + 1) * SEARCH_BATCH
+    return rows, [record for *_, record in spy.trials], spy.threads
+
+
+def test_sweeps_give_the_same_rows_and_records_on_any_worker_count(monkeypatch):
+    inline_rows, inline_records, threads = _sweeps_with_workers(monkeypatch, 0)
+    assert threads == {threading.current_thread().name}
+    assert len(inline_records) == 12 + 27 + 15
+    assert [r.failure for r in inline_records[:12]].count(
+        "UnderResolvedError: found 1 spectrum peaks, need 2") == 4
+    assert inline_rows[2][2]["trials_failed"] == 3  # the degenerate cell
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # more workers than CPUs, switching often
+        threaded = {workers: _sweeps_with_workers(monkeypatch, workers) for workers in (1, 3)}
+    finally:
+        sys.setswitchinterval(interval)
+    for workers, (rows, records, threads) in threaded.items():
+        assert threading.current_thread().name not in threads
+        assert 1 <= len(threads) <= workers
+        np.testing.assert_equal(rows, inline_rows)
+        assert len(records) == len(inline_records)
+        for a, b in zip(records, inline_records):
+            _assert_same_record(a, b)
+
+
+def _blas_threads():
+    blas = harness._blas_threads()
+    return blas[0]() if blas else None
+
+
+@pytest.fixture
+def three_blas_threads():
+    """The BLAS at three threads, a count no sweep sets, for the test's duration."""
+    blas = harness._blas_threads()
+    if blas:
+        before = blas[0]()
+        blas[1](3)
+    yield
+    if blas:
+        blas[1](before)
+
+
+def test_a_sweep_restores_the_blas_threads_and_ends_its_workers(monkeypatch, three_blas_threads):
+    # two workers even on one CPU; stage 1 reads the BLAS thread count it runs under
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: 2)
+    seen, synth = set(), stage1.synthesize_stage1
+
+    def samples(*args):
+        seen.add(_blas_threads())
+        return synth(*args)
+
+    monkeypatch.setattr(stage1, "synthesize_stage1", samples)
+    threads, blas = threading.active_count(), _blas_threads()
+    assert blas in (3, None)
+    cfg = tiny_config(trials=5, p_bs_dbm_sweep=[10.0, 20.0, 30.0, 40.0])
+    run_experiment(cfg)
+    assert seen == ({1} if blas is not None else {None})
+    assert (threading.active_count(), _blas_threads()) == (threads, blas)
+
+    # a degenerate scene, from the start of the sweep or in a later cell with batches in flight
+    degenerate = replace(cfg, scene=replace(cfg.scene, targets=[Position3(-20.0, 0.0, 3.0)]))
+    with pytest.raises(DegenerateGeometryError):
+        run_experiment(degenerate)
+    assert (threading.active_count(), _blas_threads()) == (threads, blas)
+    cells = [(cfg, 30.0, s_idx) for s_idx in range(4)] + [(degenerate, 30.0, 4)]
+    with pytest.raises(DegenerateGeometryError):
+        harness._sweep_cells(cfg, cells)
+    assert (threading.active_count(), _blas_threads()) == (threads, blas)
+
+    # a bad power in a later cell, with the first cell's batch in flight, raises the power error
+    with pytest.raises(InvalidArgumentError, match="transmit power 0.0 must be finite and positive"):
+        run_experiment(replace(cfg, trials=8, p_bs_dbm_sweep=[30.0, -4000.0, 30.0, 30.0]))
+    assert (threading.active_count(), _blas_threads()) == (threads, blas)
+
+
+def test_leaving_the_stage1_pool_cancels_its_queued_batches(monkeypatch, three_blas_threads):
+    # one worker busy with the first batch: the second waits in the queue when the sweep raises
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: 1)
+    threads, blas = threading.active_count(), _blas_threads()
+    started, ran = threading.Event(), []
+
+    def batch(name):
+        ran.append(name)
+        started.set()
+        time.sleep(0.3)
+        return name
+
+    with pytest.raises(RuntimeError, match="a trial failed"):
+        with harness._stage1_pool() as (submit, workers):
+            assert workers == 1
+            first = submit(batch, "first")
+            assert started.wait(10)
+            second = submit(batch, "second")
+            raise RuntimeError("a trial failed")
+    assert ran == ["first"] and first() == "first"
+    with pytest.raises(concurrent.futures.CancelledError):
+        second()
+    assert (threading.active_count(), _blas_threads()) == (threads, blas)
 
 
 def test_an_area_cell_counts_only_a_degenerate_scene_as_failed(monkeypatch):

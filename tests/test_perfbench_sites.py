@@ -7,6 +7,7 @@ import pytest
 
 from irsloc import harness
 from irsloc.harness import ExperimentConfig
+from irsloc.stage1 import SEARCH_BATCH
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +73,23 @@ def test_traced_trial_counts_the_scan_samples(sweeps, joint):
         harness.run_trial(cfg, max(cfg.p_bs_dbm_sweep), harness.trial_seed(1, 0, 0))
     expected = cfg.t2_y * cfg.t2_z if joint else cfg.t2_y + cfg.t2_z
     assert tracer.counts["stage2.samples"] == expected
+
+
+def test_a_traced_sweep_opens_every_trial_span_on_the_calling_thread(sweeps, monkeypatch):
+    # the tracer keeps one span stack: stage-1 workers must reach no traced name, so every
+    # trial span is a root and the per-layer numbers can be read from the spans
+    from spans import Patches, Tracer
+
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: 2)  # workers even on one CPU
+    cfg = ExperimentConfig.from_yaml(str(ROOT / "configs" / "multi_target.yaml"))
+    cfg = replace(cfg, trials=3, p_bs_dbm_sweep=[20.0, 30.0, 40.0, 30.0, 40.0, 35.0])
+    assert cfg.trials * len(cfg.p_bs_dbm_sweep) > 2 * SEARCH_BATCH
+    untraced = harness.run_experiment(cfg)
+    tracer = Tracer("harness.trial")
+    with Patches(tracer, sweeps.trace_sites()):
+        traced = harness.run_experiment(cfg)
+    assert sweeps.same_rows(traced, untraced)
+    trials = [s for s in tracer.spans if s.name == "harness.trial"]
+    assert len(trials) == 18
+    assert all(s.parent is None and s.root == s.id for s in trials)
+    assert sweeps.layer_metrics(tracer, 1)["harness.trial_ms_p50"] > 0
