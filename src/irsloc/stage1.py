@@ -13,8 +13,9 @@ the strongest coarse maxima and the coarse nodes nearly as strong as the
 weakest pick.  Grid rows come from read-only steering tables built once per
 grid resolution and array size.  The searches of several snapshot blocks run
 as one stacked pass (music_estimates), each block getting exactly the
-estimate it gets alone; a sweep searches its trials' blocks that way, a
-batch per call on worker threads.
+estimate it gets alone, and picks the peaks of every block of a batch in
+one pass; a sweep searches its trials' blocks that way, a batch per call
+on worker threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gridpeaks import local_maxima_2d, strongest_separated, top_peaks_2d
+from ._gridpeaks import local_maxima_2d, separated_peaks, top_peaks_2d
 from .arrays import SpatialAnglePair, UpaConfig, steering_matrix, upa_response
 from .channel import (  # channel_btb: unused, but perfbench traces it by name here
     PathKind,
@@ -226,15 +227,18 @@ def _zoom(signal: list[np.ndarray], owner: np.ndarray, table_y: np.ndarray, tabl
 
 
 def _search_grid(signal: list[np.ndarray], cfg: UpaConfig, grid_resolution: float,
-                 k: int) -> list[list[tuple[int, int, float]]]:
-    """Per block, the (i, j, value) nodes that top_peaks_2d picks from its dense spectrum on _axis x _axis.
+                 k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block, the nodes that top_peaks_2d picks from its dense spectrum on _axis x _axis.
 
-    signal[c][b] is column c of block b's U_s (see _columns).  The spectrum
-    has no feature narrower than a beamwidth (2/n per axis), so it is first
-    sampled every `stride` nodes, at most a quarter beamwidth apart.  Coarse
-    nodes are then zoomed: the nodes around them are evaluated at full
-    resolution, and the local maxima found go through the same tie rule and
-    suppression as top_peaks_2d.
+    signal[c][b] is column c of block b's U_s (see _columns).  Returns
+    (found, nodes, values): block b's found[b] <= k picks are the axis
+    nodes nodes[b, :found[b]] = (i, j) with spectrum values
+    values[b, :found[b]], in the order top_peaks_2d accepts them.  The
+    spectrum has no feature narrower than a beamwidth (2/n per axis), so it
+    is first sampled every `stride` nodes, at most a quarter beamwidth
+    apart.  Coarse nodes are then zoomed: the nodes around them are
+    evaluated at full resolution, and the local maxima found go through the
+    same tie rule and suppression as top_peaks_2d.
       1. The strongest coarse local maxima, EXTRA_COARSE_CANDIDATES more than
          k because coarse sampling can misorder sharp peaks, are zoomed one
          stride wide: a coarse maximum has its dense maximum within a stride.
@@ -244,57 +248,63 @@ def _search_grid(signal: list[np.ndarray], cfg: UpaConfig, grid_resolution: floa
          beamwidth costs a noise-level maximum about 0.2% of its value; this
          finds maxima without a coarse maximum of their own, such as a weak
          one on the flank of a stronger lobe.
-    The blocks share each step: one coarse evaluation, then one zoom call
-    per round for the windows of every block still zooming.  Strides below
+    Every step is one pass over the whole batch: one coarse evaluation and
+    local-maximum mask, one lexsort of (block, -value, i, j) that keeps each
+    block's strongest coarse maxima, then per round one zoom call for the
+    windows of every block still zooming, one merge of the maxima found
+    into those kept (zooms may overlap; the first value found for a (block,
+    i, j) stays) and one suppression pass (separated_peaks).  Strides below
     MIN_COARSE_STRIDE, and blocks whose search finds fewer than k peaks,
-    use the dense grid instead.  Every grid row is read from the
-    resolution's steering tables.
+    use the dense grid instead, a block at a time.  Every grid row is read
+    from the resolution's steering tables.
     """
     table_y, table_z = _tables(cfg, grid_resolution)
+    n_axis = table_y.shape[0]
     n_blocks = len(signal[0])
-    picks: list = [None] * n_blocks
+    found = np.zeros(n_blocks, dtype=int)
+    nodes = np.zeros((n_blocks, k, 2), dtype=int)
+    values = np.zeros((n_blocks, k))
     stride = _coarse_stride(grid_resolution, cfg.n_y, cfg.n_z)
     if stride >= MIN_COARSE_STRIDE:
         coarse, coarse_y, coarse_z = _coarse_grid(grid_resolution, cfg.n_y, cfg.n_z)
         coarse_spectrum = 1.0 / _deficit(signal, coarse_y, coarse_z)
+        b, i, j = np.nonzero(local_maxima_2d(coarse_spectrum))
+        order = np.lexsort((j, i, -coarse_spectrum[b, i, j], b))
+        rank = np.arange(len(order)) - np.searchsorted(b[order], b[order])
+        keep = order[rank < k + EXTRA_COARSE_CANDIDATES]
         zoomed = np.zeros(coarse_spectrum.shape, dtype=bool)
-        for b, spectrum in enumerate(coarse_spectrum):
-            zoomed[b][tuple(np.array(top_peaks_2d(spectrum, k + EXTRA_COARSE_CANDIDATES, 0)).T)] = True
+        zoomed[b[keep], i[keep], j[keep]] = True
         windows = np.argwhere(zoomed)  # (block, i, j), block by block
-        found = _zoom(signal, windows[:, 0], table_y, table_z, coarse[windows[:, 1:]], stride)
-        nodes = [np.empty((0, 2), dtype=int)] * n_blocks
-        values = [np.empty(0)] * n_blocks
-        zooming = range(n_blocks)
+        maxima = _zoom(signal, windows[:, 0], table_y, table_z, coarse[windows[:, 1:]], stride)
+        zooming = np.arange(n_blocks)
         while True:
-            more_windows = []
-            for b in zooming:
-                mine = found[0] == b
-                nodes[b], first = np.unique(np.concatenate([nodes[b], found[1][mine]]),
-                                            axis=0, return_index=True)  # zooms may overlap
-                values[b] = np.concatenate([values[b], found[2][mine]])[first]
-                peaks = strongest_separated(nodes[b], values[b], k, PEAK_SUPPRESSION_RADIUS)
-                if len(peaks) < k:
-                    continue
-                lookup = {(int(i), int(j)): float(v) for (i, j), v in zip(nodes[b], values[b])}
-                picked = [(i, j, lookup[i, j]) for i, j in peaks]
-                more = (coarse_spectrum[b] >= (1.0 - ZOOM_MARGIN) * picked[-1][2]) & ~zoomed[b]
-                if not more.any():
-                    picks[b] = picked
-                    continue
-                zoomed[b] |= more
-                more_windows.append((b, np.argwhere(more)))
-            if not more_windows:
+            owner, node, value = maxima
+            key = (owner * n_axis + node[:, 0]) * n_axis + node[:, 1]
+            first = np.unique(key, return_index=True)[1]  # a stable sort: each key's first
+            owner, node, value = owner[first], node[first], value[first]
+            picks = separated_peaks(owner, node, value, n_blocks, k, PEAK_SUPPRESSION_RADIUS)
+            zooming = zooming[picks[zooming, -1] >= 0]
+            weakest = value[picks[zooming, -1]]
+            more = coarse_spectrum[zooming] >= (1.0 - ZOOM_MARGIN) * weakest[:, None, None]
+            more &= ~zoomed[zooming]
+            extend = more.any(axis=(1, 2))
+            done = zooming[~extend]
+            found[done] = k
+            nodes[done], values[done] = node[picks[done]], value[picks[done]]
+            zooming, more = zooming[extend], more[extend]
+            if not len(zooming):
                 break
-            zooming = [b for b, _ in more_windows]
-            owner = np.concatenate([np.full(len(centers), b) for b, centers in more_windows])
-            centers = coarse[np.concatenate([centers for _, centers in more_windows])]
-            found = _zoom(signal, owner, table_y, table_z, centers, (stride + 1) // 2)
-    for b in range(n_blocks):
-        if picks[b] is None:
-            spectrum = 1.0 / _deficit([s[b] for s in signal], table_y, table_z)
-            picks[b] = [(i, j, float(spectrum[i, j]))
-                        for i, j in top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)]
-    return picks
+            zoomed[zooming] |= more
+            windows = np.argwhere(more)  # (position in zooming, i, j), block by block
+            new = _zoom(signal, zooming[windows[:, 0]], table_y, table_z, coarse[windows[:, 1:]],
+                        (stride + 1) // 2)
+            mine = np.isin(owner, zooming)
+            maxima = [np.concatenate([a[mine], n]) for a, n in zip((owner, node, value), new)]
+    for b in np.flatnonzero(found < k):  # not settled by the zoom rounds
+        spectrum = 1.0 / _deficit([s[b] for s in signal], table_y, table_z)
+        for p, (i, j) in enumerate(top_peaks_2d(spectrum, k, PEAK_SUPPRESSION_RADIUS)):
+            found[b], nodes[b, p], values[b, p] = p + 1, (i, j), spectrum[i, j]
+    return found, nodes, values
 
 
 def _refine_peaks(signal: list[np.ndarray], owner: np.ndarray, mu0: np.ndarray, nu0: np.ndarray,
@@ -332,22 +342,21 @@ def _search(subspaces: list[np.ndarray], cfg: UpaConfig, k: int, grid_resolution
     if not subspaces:
         return []
     signal = [np.stack(column) for column in zip(*(_columns(u_s, cfg) for u_s in subspaces))]
-    picks = _search_grid(signal, cfg, grid_resolution, k)
-    resolved = [b for b, peaks in enumerate(picks) if len(peaks) == k]
-    nodes = np.array([(i, j) for b in resolved for i, j, _ in picks[b]], dtype=int).reshape(-1, 2)
+    found, nodes, values = _search_grid(signal, cfg, grid_resolution, k)
+    resolved = np.flatnonzero(found == k)
+    picked = nodes[resolved].reshape(-1, 2)
     axis = _axis(grid_resolution)
-    mu, nu = axis[nodes[:, 0]], axis[nodes[:, 1]]
-    value = np.array([v for b in resolved for *_, v in picks[b]])
+    mu, nu = axis[picked[:, 0]], axis[picked[:, 1]]
+    value = values[resolved].ravel()
     step = grid_resolution
-    if refine_levels > 0 and resolved:
+    if refine_levels > 0 and len(resolved):
         mu, nu, value, step = _refine_peaks(signal, np.repeat(resolved, k), mu, nu, cfg,
                                             grid_resolution, refine_levels)
     out: list = []
     first = 0  # the block's first peak in mu, nu and value
-    for peaks in picks:
-        if len(peaks) < k:
-            out.append(UnderResolvedError(f"found {len(peaks)} spectrum peaks, need {k}",
-                                          found=len(peaks)))
+    for count in found.tolist():
+        if count < k:
+            out.append(UnderResolvedError(f"found {count} spectrum peaks, need {k}", found=count))
             continue
         mine = slice(first, first + k)
         first += k
@@ -368,6 +377,7 @@ def music_estimates(blocks: Iterable[np.ndarray], cfg: UpaConfig, k: int,
     Each block's signal subspace is found on its own as it arrives, so a
     generator of blocks keeps one block alive at a time.  Then each batch's
     coarse grids, zoom rounds and refinement levels run as one stacked pass,
+    whose peak picking also runs over the whole batch at once (_search_grid),
     and every block gets exactly the estimate music_estimate gives it alone.
     An IrslocError that ends a block's estimate (too few columns for k, or
     fewer than k peaks) takes that block's place in the list; the other

@@ -190,3 +190,40 @@ def normalized_beam_gain(delta_mu: float, delta_nu: float, n_bar: int) -> float:
         return float(np.abs(np.sum(np.exp(1j * np.pi * (n_bar - 2 * i + 1) * delta / 2))))
 
     return factor(delta_mu) * factor(delta_nu) / n_bar**2
+
+
+def neighbour_maxima_2d(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of nodes >= each of their 8 neighbours (edges allowed), one comparison each.
+
+    Works on the last two axes; a neighbour outside the grid counts as -inf.
+    """
+    rows, cols = values.shape[-2:]
+    padded = np.full(values.shape[:-2] + (rows + 2, cols + 2), -np.inf)
+    padded[..., 1:-1, 1:-1] = values
+    mask = np.ones_like(values, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            mask &= values >= padded[..., 1 + di:rows + 1 + di, 1 + dj:cols + 1 + dj]
+    return mask
+
+
+def strongest_separated(idx: np.ndarray, vals: np.ndarray, k: int,
+                        suppression_radius: int) -> list[tuple[int, int]]:
+    """Up to k of the (row, col) nodes idx, greedily accepted in decreasing value with Chebyshev NMS.
+
+    Ties are broken by the lowest (row, col) index so reruns are deterministic.
+    One candidate at a time, each checked against every accepted node.
+    """
+    if idx.size == 0:
+        return []
+    order = np.lexsort((idx[:, 1], idx[:, 0], -vals))
+    accepted: list[tuple[int, int]] = []
+    for o in order:
+        i, j = int(idx[o, 0]), int(idx[o, 1])
+        if all(max(abs(i - ai), abs(j - aj)) > suppression_radius for ai, aj in accepted):
+            accepted.append((i, j))
+            if len(accepted) == k:
+                break
+    return accepted

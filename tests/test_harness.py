@@ -288,13 +288,15 @@ class SweepSpy:
     trials run on the calling thread, so every count is taken under one lock.
     blocks_ahead and results_ahead are the largest numbers of blocks made,
     and of stage-1 results returned, for trials that had not yet run;
-    workers is the worker count the sweep asked for, and threads the names
-    of the threads that made blocks.
+    batches holds the block count of every stacked search, workers is the
+    worker count the sweep asked for, and threads the names of the threads
+    that made blocks.
     """
 
     def __init__(self, monkeypatch):
         self.lock = threading.Lock()
         self.blocks = self.results = self.searches = self.blocks_ahead = self.results_ahead = 0
+        self.batches: list = []
         self.workers = None
         self.threads: set = set()
         self.trials: list = []  # (config, power, record) of every trial the sweep ran
@@ -319,6 +321,7 @@ class SweepSpy:
         def stacked(*args):
             with self.lock:
                 self.searches += 1
+                self.batches.append(len(args[0]))
             return search(*args)
 
         def run(cfg, p_dbm, seed, trial_index, *, music):
@@ -337,12 +340,19 @@ class SweepSpy:
         monkeypatch.setattr(harness, "run_trial", run)
         monkeypatch.setattr(harness, "_stage1_workers", stage1_workers)
 
-    def check(self, blocks: int) -> None:
-        """One stacked search per SEARCH_BATCH blocks, at most one batch more than there are
+    def check(self, blocks: int, trials: int | None = None) -> None:
+        """The blocks cut as _batch_sizes cuts the sweep's trials (blocks, unless degenerate
+        cells added none), one stacked search a batch, at most one batch more than there are
         workers ahead of the trials, and every record equal to its trial run alone (a batch
         of one)."""
         assert self.blocks == self.results == len(self.trials) == blocks
-        assert self.searches == math.ceil(blocks / SEARCH_BATCH)
+        batches, left = [], blocks
+        for size in harness._batch_sizes(blocks if trials is None else trials, self.workers):
+            if left:
+                batches.append(min(size, left))
+                left -= batches[-1]
+        assert self.searches == len(batches)
+        assert sorted(self.batches) == sorted(batches)  # workers may finish out of order
         ahead = (self.workers + 1) * SEARCH_BATCH
         assert self.blocks_ahead <= ahead and self.results_ahead <= ahead
         for cfg, p_dbm, record in self.trials:
@@ -382,7 +392,7 @@ def test_a_degenerate_area_cell_inside_a_batch_adds_no_blocks(monkeypatch):
                           target_z=3.0)
     assert [(r["trials"], r["trials_failed"]) for r in rows][1] == (3, 3)
     assert [cfg.scene.targets[0].x for cfg, *_ in spy.trials] == [-15.0] * 3 + [-10.0] * 3
-    spy.check(6)
+    spy.check(6, trials=9)
     alone = _cells_run_alone(cfg, [-15.0, -20.0, -10.0], [0.0], 30.0, target_z=3.0)
     np.testing.assert_equal([rows[0], rows[2]], [alone[0], alone[2]])
 
@@ -531,6 +541,103 @@ def test_leaving_the_stage1_pool_cancels_its_queued_batches(monkeypatch, three_b
     with pytest.raises(concurrent.futures.CancelledError):
         second()
     assert (threading.active_count(), _blas_threads()) == (threads, blas)
+
+
+BATCH_SIZES = {  # (trials, workers) -> stage-1 batch sizes
+    (1, 0): [1], (1, 1): [1], (1, 2): [1], (1, 3): [1],
+    (11, 0): [8, 3], (11, 1): [6, 5], (11, 2): [6, 5], (11, 3): [4, 4, 3],
+    (40, 0): [8] * 5, (40, 1): [8] * 5, (40, 2): [7] * 4 + [6] * 2, (40, 3): [7] * 4 + [6] * 2,
+    (44, 0): [8] * 5 + [4], (44, 1): [8] * 2 + [7] * 4, (44, 2): [8] * 2 + [7] * 4,
+    (44, 3): [8] * 2 + [7] * 4,
+    (45, 0): [8] * 5 + [5], (45, 1): [8] * 3 + [7] * 3, (45, 2): [8] * 3 + [7] * 3,
+    (45, 3): [8] * 3 + [7] * 3,
+}
+
+
+@pytest.mark.parametrize("trials, workers", sorted(BATCH_SIZES))
+def test_a_sweep_splits_its_trials_evenly_over_the_workers(trials, workers):
+    sizes = harness._batch_sizes(trials, workers)
+    assert sizes == BATCH_SIZES[trials, workers]
+    assert sum(sizes) == trials and max(sizes) <= SEARCH_BATCH
+    if workers:  # the fewest batches whose count the workers share evenly
+        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) % workers == 0 or len(sizes) == trials
+        assert len(sizes) - workers < math.ceil(trials / SEARCH_BATCH) or len(sizes) == trials
+    else:
+        assert sizes[:-1] == [SEARCH_BATCH] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_sweep_without_trials_searches_nothing_and_emits_nothing(monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: workers)
+    spy = SweepSpy(monkeypatch)
+    assert harness._batch_sizes(0, workers) == []
+    assert harness._sweep_cells(tiny_config(), []) == []
+    rows = run_area_sweep(tiny_config(), [], [0.0], p_bs_dbm=30.0)
+    assert rows == [] and spy.searches == spy.blocks == 0
+    with pytest.raises(InvalidArgumentError, match="nothing to emit"):
+        emit_figure_data(rows, "fig10", str(tmp_path / "fig10.csv"))
+
+
+def test_overlapping_sweeps_restore_the_blas_threads(monkeypatch, three_blas_threads):
+    # two sweeps in two threads, both inside their pools at once; the first to start ends
+    # first, while the second still runs on one BLAS thread, then the second ends
+    monkeypatch.setattr(harness, "_stage1_workers", lambda: 2)
+    blas = _blas_threads()
+    assert blas in (3, None)
+    both_in, first_done, seen, trial = threading.Barrier(2, timeout=30), threading.Event(), [], \
+        harness.run_trial
+    short, long = tiny_config(trials=1), tiny_config(trials=4, base_seed=78)
+
+    def run(cfg, p_dbm, seed, trial_index, *, music):
+        if trial_index == 0:
+            both_in.wait()
+        if cfg.base_seed == long.base_seed:
+            assert first_done.wait(30)
+            seen.append(_blas_threads())
+        return trial(cfg, p_dbm, seed, trial_index, music=music)
+
+    monkeypatch.setattr(harness, "run_trial", run)
+    errors: list = []
+
+    def sweep(cfg):
+        try:
+            run_experiment(cfg)
+        except BaseException as exc:  # noqa: BLE001 -- re-raised on the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sweep, args=(cfg,)) for cfg in (short, long)]
+    for thread in threads:
+        thread.start()
+    threads[0].join(30)
+    first_done.set()
+    threads[1].join(30)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    assert seen == [1 if blas is not None else None] * 4
+    assert _blas_threads() == blas
+
+
+def test_a_trial_run_alone_and_a_cold_bound_hold_one_blas_thread(monkeypatch, three_blas_threads):
+    blas, seen = _blas_threads(), []
+    synth, fim = stage1.synthesize_stage1, harness.fim_stage1
+
+    def samples(*args):
+        seen.append(_blas_threads())
+        return synth(*args)
+
+    def fim_stage1_spy(*args):
+        seen.append(_blas_threads())
+        return fim(*args)
+
+    monkeypatch.setattr(harness, "synthesize_stage1", samples)
+    monkeypatch.setattr(harness, "fim_stage1", fim_stage1_spy)
+    cfg = tiny_config()
+    harness._unit_bounds.cache_clear()
+    run_trial(cfg, 30.0, 5)
+    attach_crb(cfg, 30.0)
+    attach_crb(cfg, 40.0)  # cached: no hold, no FIM
+    assert seen == [1 if blas is not None else None] * 2
+    assert _blas_threads() == blas
 
 
 def test_an_area_cell_counts_only_a_degenerate_scene_as_failed(monkeypatch):

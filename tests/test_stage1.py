@@ -415,6 +415,92 @@ def test_a_block_that_fails_fails_alone_in_its_batch():
         assert results[i] == music_estimate(blocks[i], g.bs_upa, 2, 0.4, 1)
 
 
+TWO_BY_TWO = UpaConfig(2, 2)
+
+
+def plane_wave_block(seed):
+    """Snapshots of 0-3 random plane waves at a 2 x 2 array in noise, 3-11 columns."""
+    rng = np.random.default_rng(seed)
+    t1 = int(rng.integers(3, 12))
+    y = np.zeros((4, t1), dtype=complex)
+    for _ in range(rng.integers(0, 4)):
+        a = upa_response(SpatialAnglePair(*rng.uniform(-1.0, 1.0, 2)), TWO_BY_TWO)
+        y += np.outer(a, rng.standard_normal(t1) + 1j * rng.standard_normal(t1))
+    return y + 10 ** rng.uniform(-3, 0.5) * (rng.standard_normal(y.shape)
+                                            + 1j * rng.standard_normal(y.shape))
+
+
+def one_peak_block():
+    """Snapshots whose three signal directions leave the noise direction u (x) u, u = (1, -0.5):
+    for k = 3 the spectrum 1 / |u^H a_y|^2 |u^H a_z|^2 has one maximum, at (0, 0)."""
+    u = np.kron([1.0, -0.5], [1.0, -0.5]) / 1.25
+    rng = np.random.default_rng(0)
+    return (np.eye(4) - np.outer(u, u)) @ (rng.standard_normal((4, 5))
+                                           + 1j * rng.standard_normal((4, 5)))
+
+
+def watched_search(monkeypatch, blocks, k):
+    """music_estimates of the blocks on the 0.01 grid, with the blocks each zoom round
+    zoomed and the number of blocks searched on the dense grid."""
+    rounds, dense, depth = [], [0], [0]
+    zoom, deficit = stage1._zoom, stage1._deficit
+    dense_shape = stage1._tables(TWO_BY_TWO, 0.01)[0].shape
+
+    def counted_zoom(signal, owner, *args):  # _zoom splits long calls through itself
+        depth[0] += 1
+        try:
+            if depth[0] == 1:
+                rounds.append(set(owner.tolist()))
+            return zoom(signal, owner, *args)
+        finally:
+            depth[0] -= 1
+
+    def watched_deficit(signal, a_mu, a_nu):
+        dense[0] += a_mu.shape == dense_shape
+        return deficit(signal, a_mu, a_nu)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stage1, "_zoom", counted_zoom)
+        patch.setattr(stage1, "_deficit", watched_deficit)
+        results = music_estimates(blocks, TWO_BY_TWO, k, 0.01, 1)
+    return results, rounds, dense[0]
+
+
+def search_path(monkeypatch, block, k):
+    """How the search settles one block alone: after zoom round 1 or 2, on the dense grid,
+    or under-resolved (on the dense grid too)."""
+    (result,), rounds, dense = watched_search(monkeypatch, [block], k)
+    if isinstance(result, UnderResolvedError):
+        return "under"
+    return "dense" if dense else f"round {len(rounds)}"
+
+
+@pytest.mark.parametrize("k, paths", [
+    (1, ["round 1"] * 6),
+    (2, ["round 1", "round 1", "round 2", "round 2", "dense", "round 1"]),
+    (3, ["round 1", "dense", "round 2", "round 2", "round 2", "under"]),
+])
+def test_a_batch_that_mixes_every_search_path_gives_each_block_its_estimate_alone(
+        monkeypatch, k, paths):
+    # one stacked search over blocks that settle after different zoom rounds, fall back to
+    # the dense grid, or hold fewer than k peaks; each block takes the path and gets the
+    # result it gets alone
+    blocks = [plane_wave_block(seed) for seed in (0, 1, 2, 14, 272)] + [one_peak_block()]
+    assert len(blocks) <= SEARCH_BATCH
+    assert [search_path(monkeypatch, block, k) for block in blocks] == paths
+    batched, rounds, dense = watched_search(monkeypatch, blocks, k)
+    assert rounds == [set(range(len(blocks)))] + [
+        {b for b, path in enumerate(paths) if path == "round 2"}] * ("round 2" in paths)
+    assert dense == paths.count("dense") + paths.count("under")
+    for block, result in zip(blocks, batched):
+        if isinstance(result, UnderResolvedError):
+            with pytest.raises(UnderResolvedError, match=f"^found 1 spectrum peaks, need {k}$"):
+                music_estimate(block, TWO_BY_TWO, k, 0.01, 1)
+            assert result.found == 1
+        else:
+            assert result == music_estimate(block, TWO_BY_TWO, k, 0.01, 1)
+
+
 def test_coarse_grid_is_cached_read_only_per_grid_and_array():
     g = flagship_bs_scene(SEARCH_SCENES["one_target"])
     block = batch_blocks(g, 40.0, [0])[0]
