@@ -337,8 +337,7 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     The trial only scales its scene's cached unit-power signals (_trial_data),
     draws noise and estimates.  music is the trial's stage-1 result, or the
     IrslocError that ended it, from music_estimates over the same seeded
-    snapshots; a trial run alone searches its own, a batch of one, with
-    numpy's OpenBLAS held to one thread (_one_blas_thread).
+    snapshots; a trial run alone searches its own, a batch of one.
     Estimation failures are recorded in the returned record; a degenerate
     scene or a transmit power that is not finite and positive raises before
     any estimate.
@@ -360,10 +359,9 @@ def run_trial(config: ExperimentConfig, p_bs_dbm: float, seed: int,
     )
     try:
         if music is None:
-            with _one_blas_thread():
-                music = music_estimate(
-                    synthesize_stage1(amplitude * echo, config.noise_var, _stage_seed(seed, 0)),
-                    scene.bs_upa, k, config.music_grid, config.music_refine_levels)
+            music = music_estimate(
+                synthesize_stage1(amplitude * echo, config.noise_var, _stage_seed(seed, 0)),
+                scene.bs_upa, k, config.music_grid, config.music_refine_levels)
         elif isinstance(music, IrslocError):
             raise music
         est_bs = music.angles
@@ -402,20 +400,18 @@ def _unit_bounds(scene: SceneGeometry, t1: int, t2_y: int, t2_z: int, joint_scan
     names count only trial-data builds.  Case 1 and case 2 go through
     fim_stage2_case1/case2, the names a traced bounds call times; full mode
     calls fim_stage2, which no trace site covers, so its bounds are not
-    traced.  They are solved with numpy's OpenBLAS held to one thread
-    (_one_blas_thread), which a cached call does not touch.
+    traced.
     """
-    with _one_blas_thread():
-        plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
-        model = stage2.stage2_model(scene, 0, plan, stage2_mode, 1.0)
-        words = stage2.synthesize_stage2(scene, plan, model, 0.0, 0, joint_scan).codewords
-        s1 = fim_stage1(scene, dft_codebook(scene.n_bs, t1, 1.0), 1.0)
-        if stage2_mode is Stage2Mode.CASE1_APPROX:
-            s2 = fim_stage2_case1(scene, 0, 0, words, 1.0)
-        elif stage2_mode is Stage2Mode.CASE2_APPROX:
-            s2 = fim_stage2_case2(scene, 0, 0, words, 1.0)
-        else:
-            s2 = fim_stage2(scene, 0, 0, words, 1.0, stage2_mode)
+    plan = build_scan_plan(scene.irs_upa[0], t2_y, t2_z)
+    model = stage2.stage2_model(scene, 0, plan, stage2_mode, 1.0)
+    words = stage2.synthesize_stage2(scene, plan, model, 0.0, 0, joint_scan).codewords
+    s1 = fim_stage1(scene, dft_codebook(scene.n_bs, t1, 1.0), 1.0)
+    if stage2_mode is Stage2Mode.CASE1_APPROX:
+        s2 = fim_stage2_case1(scene, 0, 0, words, 1.0)
+    elif stage2_mode is Stage2Mode.CASE2_APPROX:
+        s2 = fim_stage2_case2(scene, 0, 0, words, 1.0)
+    else:
+        s2 = fim_stage2(scene, 0, 0, words, 1.0, stage2_mode)
     return s1.crb("mu_b2t"), s1.crb("nu_b2t"), s2.crb("mu"), s2.crb("nu")
 
 
@@ -494,8 +490,8 @@ def aggregate_trials(records: list[TrialRecord]) -> dict:
 def _blas_threads() -> tuple | None:
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if it has none.
 
-    Looked up once, on the first call, in the library that numpy ships
-    beside itself (numpy.libs/*openblas*).
+    Looked up once, on the first sweep that asks, in the library that numpy
+    ships beside itself (numpy.libs/*openblas*).
     """
     import ctypes
     import glob
@@ -535,10 +531,9 @@ def _one_blas_thread():
     """Numpy's OpenBLAS held to one thread inside, process-wide.
 
     Holders are counted under one lock: the first saves the thread count and
-    sets one thread, the last restores the saved count, so holds that
-    overlap in several threads (two sweeps, or a sweep and a standalone
-    trial) leave the count the first holder found.  Nothing is held when
-    the count cannot be set (_blas_threads).
+    sets one thread, the last restores the saved count, so sweeps that
+    overlap in several threads leave the count the first holder found.
+    Nothing is held when the count cannot be set (_blas_threads).
     """
     blas = _blas_threads()
     if blas is None:
@@ -589,21 +584,14 @@ def _stage1_pool():
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _batch_sizes(trials: int, workers: int) -> list[int]:
+def _batch_sizes(trials: int) -> list[int]:
     """The sizes, in order, of the stage-1 batches that a sweep of `trials` trials is cut into.
 
-    Inline (no workers) every batch but the last has SEARCH_BATCH trials.  On
-    workers the batch count is the fewest batches of at most SEARCH_BATCH,
-    rounded up to a multiple of workers (but at most one batch a trial), and
-    sizes differ by at most one, so each worker searches an even share.
+    The fewest batches of at most SEARCH_BATCH trials, with sizes that
+    differ by at most one, so no batch is a short remainder.
     """
-    if not workers:
-        full, rest = divmod(trials, SEARCH_BATCH)
-        return [SEARCH_BATCH] * full + [rest] * (rest > 0)
-    count = min(trials, math.ceil(math.ceil(trials / SEARCH_BATCH) / workers) * workers)
-    if not count:
-        return []
-    size, longer = divmod(trials, count)
+    count = math.ceil(trials / SEARCH_BATCH)
+    size, longer = divmod(trials, max(count, 1))
     return [size + (b < longer) for b in range(count)]
 
 
@@ -616,15 +604,16 @@ def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfi
     time in sweep order, so batches straddle cells: each trial's snapshots
     and signal subspace on their own, then the searches stacked
     (music_estimates).  The batches are sized from the sweep's trial count
-    (the sum of the cells' trials; _batch_sizes), so on workers they split
-    it evenly, but drawn from the trials one batch at a time, so only the
-    cells a batch reaches build their trial data.  The batches run on
-    worker threads (_stage1_pool), at most one more than there are workers
-    ahead of the trials, while the calling thread runs each finished
-    batch's trials through run_trial with their stage-1 results, in sweep
-    order, so every record equals the one the same trial gives run alone.  The workers look up no name that a
-    tracer patches on the harness (they synthesize through the stage-1
-    module), so every traced span opens on the calling thread.  A cell's
+    (the sum of the cells' trials; _batch_sizes), so they are even, but
+    drawn from the trials one batch at a time, so only the cells a batch
+    reaches build their trial data.  The batches run on worker threads
+    (_stage1_pool), at most one more than there are workers ahead of the
+    trials, while the calling thread runs each finished batch's trials
+    through run_trial with their stage-1 results, in sweep order, so every
+    record equals the one the same trial gives run alone.  The workers look
+    up no name that a tracer patches on the harness (they synthesize
+    through the stage-1 module), so every traced span opens on the calling
+    thread.  A cell's
     power is checked before its scene; a degenerate scene raises
     DegenerateGeometryError, or with skip_degenerate adds no trials and
     leaves its cell empty.
@@ -656,7 +645,7 @@ def _sweep_cells(config: ExperimentConfig, cells: Sequence[tuple[ExperimentConfi
     pending = trials()
     with _stage1_pool() as (submit, workers):
         ahead: collections.deque = collections.deque()
-        for size in _batch_sizes(sum(cfg.trials for cfg, *_ in cells), workers):
+        for size in _batch_sizes(sum(cfg.trials for cfg, *_ in cells)):
             if not (batch := list(itertools.islice(pending, size))):
                 break  # degenerate cells added no trials
             ahead.append((batch, submit(stage1_results, batch)))

@@ -347,7 +347,7 @@ class SweepSpy:
         of one)."""
         assert self.blocks == self.results == len(self.trials) == blocks
         batches, left = [], blocks
-        for size in harness._batch_sizes(blocks if trials is None else trials, self.workers):
+        for size in harness._batch_sizes(blocks if trials is None else trials):
             if left:
                 batches.append(min(size, left))
                 left -= batches[-1]
@@ -543,35 +543,24 @@ def test_leaving_the_stage1_pool_cancels_its_queued_batches(monkeypatch, three_b
     assert (threading.active_count(), _blas_threads()) == (threads, blas)
 
 
-BATCH_SIZES = {  # (trials, workers) -> stage-1 batch sizes
-    (1, 0): [1], (1, 1): [1], (1, 2): [1], (1, 3): [1],
-    (11, 0): [8, 3], (11, 1): [6, 5], (11, 2): [6, 5], (11, 3): [4, 4, 3],
-    (40, 0): [8] * 5, (40, 1): [8] * 5, (40, 2): [7] * 4 + [6] * 2, (40, 3): [7] * 4 + [6] * 2,
-    (44, 0): [8] * 5 + [4], (44, 1): [8] * 2 + [7] * 4, (44, 2): [8] * 2 + [7] * 4,
-    (44, 3): [8] * 2 + [7] * 4,
-    (45, 0): [8] * 5 + [5], (45, 1): [8] * 3 + [7] * 3, (45, 2): [8] * 3 + [7] * 3,
-    (45, 3): [8] * 3 + [7] * 3,
+BATCH_SIZES = {  # trials -> stage-1 batch sizes
+    1: [1], 11: [6, 5], 40: [8] * 5, 44: [8] * 2 + [7] * 4, 45: [8] * 3 + [7] * 3,
 }
 
 
-@pytest.mark.parametrize("trials, workers", sorted(BATCH_SIZES))
-def test_a_sweep_splits_its_trials_evenly_over_the_workers(trials, workers):
-    sizes = harness._batch_sizes(trials, workers)
-    assert sizes == BATCH_SIZES[trials, workers]
+@pytest.mark.parametrize("trials", sorted(BATCH_SIZES))
+def test_a_sweep_cuts_its_trials_into_the_fewest_even_batches(trials):
+    sizes = harness._batch_sizes(trials)
+    assert sizes == BATCH_SIZES[trials]
     assert sum(sizes) == trials and max(sizes) <= SEARCH_BATCH
-    if workers:  # the fewest batches whose count the workers share evenly
-        assert max(sizes) - min(sizes) <= 1
-        assert len(sizes) % workers == 0 or len(sizes) == trials
-        assert len(sizes) - workers < math.ceil(trials / SEARCH_BATCH) or len(sizes) == trials
-    else:
-        assert sizes[:-1] == [SEARCH_BATCH] * (len(sizes) - 1)
+    assert max(sizes) - min(sizes) <= 1 and len(sizes) == math.ceil(trials / SEARCH_BATCH)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_a_sweep_without_trials_searches_nothing_and_emits_nothing(monkeypatch, tmp_path, workers):
     monkeypatch.setattr(harness, "_stage1_workers", lambda: workers)
     spy = SweepSpy(monkeypatch)
-    assert harness._batch_sizes(0, workers) == []
+    assert harness._batch_sizes(0) == []
     assert harness._sweep_cells(tiny_config(), []) == []
     rows = run_area_sweep(tiny_config(), [], [0.0], p_bs_dbm=30.0)
     assert rows == [] and spy.searches == spy.blocks == 0
@@ -614,29 +603,6 @@ def test_overlapping_sweeps_restore_the_blas_threads(monkeypatch, three_blas_thr
     threads[1].join(30)
     assert not errors and not any(thread.is_alive() for thread in threads)
     assert seen == [1 if blas is not None else None] * 4
-    assert _blas_threads() == blas
-
-
-def test_a_trial_run_alone_and_a_cold_bound_hold_one_blas_thread(monkeypatch, three_blas_threads):
-    blas, seen = _blas_threads(), []
-    synth, fim = stage1.synthesize_stage1, harness.fim_stage1
-
-    def samples(*args):
-        seen.append(_blas_threads())
-        return synth(*args)
-
-    def fim_stage1_spy(*args):
-        seen.append(_blas_threads())
-        return fim(*args)
-
-    monkeypatch.setattr(harness, "synthesize_stage1", samples)
-    monkeypatch.setattr(harness, "fim_stage1", fim_stage1_spy)
-    cfg = tiny_config()
-    harness._unit_bounds.cache_clear()
-    run_trial(cfg, 30.0, 5)
-    attach_crb(cfg, 30.0)
-    attach_crb(cfg, 40.0)  # cached: no hold, no FIM
-    assert seen == [1 if blas is not None else None] * 2
     assert _blas_threads() == blas
 
 
