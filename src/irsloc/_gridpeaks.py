@@ -1,8 +1,10 @@
 """Grid peak extraction shared by the spectrum search and the beam-scan estimators.
 
-One greedy suppression rule (separated_peaks) serves both: the stage-1
-search runs it over the candidates of a whole batch of spectra at once, and
-top_peaks_2d runs it over one grid's local maxima.
+One greedy suppression rule serves both, in two forms: strongest_separated
+takes one grid's candidates one at a time and stops at the k-th accepted,
+which is the faster form for a single grid (top_peaks_2d, stage 2's scans);
+separated_peaks takes the candidates of a whole batch of spectra in k
+vectorized passes (the stage-1 search).
 """
 
 from __future__ import annotations
@@ -28,9 +30,28 @@ def local_maxima_2d(values: np.ndarray) -> np.ndarray:
     return values >= window
 
 
+def strongest_separated(idx: np.ndarray, vals: np.ndarray, k: int,
+                        suppression_radius: int) -> list[tuple[int, int]]:
+    """Up to k of the (row, col) nodes idx, greedily accepted in decreasing value with Chebyshev NMS.
+
+    Ties are broken by the lowest (row, col) index so reruns are deterministic.
+    """
+    if idx.size == 0:
+        return []
+    order = np.lexsort((idx[:, 1], idx[:, 0], -vals))
+    accepted: list[tuple[int, int]] = []
+    for o in order:
+        i, j = int(idx[o, 0]), int(idx[o, 1])
+        if all(max(abs(i - ai), abs(j - aj)) > suppression_radius for ai, aj in accepted):
+            accepted.append((i, j))
+            if len(accepted) == k:
+                break
+    return accepted
+
+
 def separated_peaks(blocks: np.ndarray, nodes: np.ndarray, values: np.ndarray, n_blocks: int,
                     k: int, suppression_radius: int) -> np.ndarray:
-    """Per block, up to k candidates greedily accepted in decreasing value with Chebyshev NMS.
+    """Per block, the picks of strongest_separated, for many blocks at once.
 
     Candidate c is node nodes[c] = (row, col) of block blocks[c] with value
     values[c]; nodes within one block are distinct.  Ties are broken by the
@@ -67,7 +88,4 @@ def top_peaks_2d(values: np.ndarray, k: int, suppression_radius: int) -> list[tu
         if not np.isnan(values[i, j]):  # argmax returns the first NaN if there is one
             return [(int(i), int(j))]
     mask = local_maxima_2d(values)
-    nodes = np.argwhere(mask)
-    picks = separated_peaks(np.zeros(len(nodes), dtype=int), nodes, values[mask], 1, k,
-                            suppression_radius)[0]
-    return [(int(i), int(j)) for i, j in nodes[picks[picks >= 0]]]
+    return strongest_separated(np.argwhere(mask), values[mask], k, suppression_radius)

@@ -207,23 +207,3 @@ def neighbour_maxima_2d(values: np.ndarray) -> np.ndarray:
                 continue
             mask &= values >= padded[..., 1 + di:rows + 1 + di, 1 + dj:cols + 1 + dj]
     return mask
-
-
-def strongest_separated(idx: np.ndarray, vals: np.ndarray, k: int,
-                        suppression_radius: int) -> list[tuple[int, int]]:
-    """Up to k of the (row, col) nodes idx, greedily accepted in decreasing value with Chebyshev NMS.
-
-    Ties are broken by the lowest (row, col) index so reruns are deterministic.
-    One candidate at a time, each checked against every accepted node.
-    """
-    if idx.size == 0:
-        return []
-    order = np.lexsort((idx[:, 1], idx[:, 0], -vals))
-    accepted: list[tuple[int, int]] = []
-    for o in order:
-        i, j = int(idx[o, 0]), int(idx[o, 1])
-        if all(max(abs(i - ai), abs(j - aj)) > suppression_radius for ai, aj in accepted):
-            accepted.append((i, j))
-            if len(accepted) == k:
-                break
-    return accepted

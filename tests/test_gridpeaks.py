@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from irsloc._gridpeaks import local_maxima_2d, separated_peaks, top_peaks_2d
-from oracles import neighbour_maxima_2d, strongest_separated
+from irsloc._gridpeaks import local_maxima_2d, separated_peaks, strongest_separated, top_peaks_2d
+from oracles import neighbour_maxima_2d
 
 SHAPES = [(1, 1), (1, 2), (1, 7), (1, 60), (2, 1), (5, 5), (30, 30), (60, 60)]
 
